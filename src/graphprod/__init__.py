@@ -2,7 +2,8 @@
 
 from .errors import CapExceeded, OracleDisagreement
 from .graphs import (SimpleGraph, bits, complement, complete_bipartite,
-                     complete_graph, components, contains_square, cycle_graph,
+                     complete_graph, components, components_induced,
+                     contains_square, cycle_graph,
                      edgeless_graph, from_graph6, from_json_obj, girth,
                      induced, is_clique, is_connected, link, mask_of,
                      min_degree, path_graph, perp, petersen_graph, star,
@@ -13,7 +14,7 @@ from .structure import (JoinDecomposition, QuotientGraph, collapse,
                         internal_vertices, is_clique_reduced, is_collapsible,
                         is_join, is_strongly_reduced, is_transvection_free,
                         join_decomposition, maximal_clique_factor,
-                        maximal_join_subgraphs, substitute,
+                        maximal_join_subgraphs, module_closure, substitute,
                         transvection_structure, untransvectable_subgraph,
                         untransvectable_vertices)
 from .iso import (AutGroup, automorphism_group, invariant_screen, isomorphism,

@@ -16,8 +16,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .graphs import (SimpleGraph, bits, components, contains_square, girth,
-                     induced, min_degree)
+from .graphs import (SimpleGraph, bits, components_induced, contains_square,
+                     girth, induced, min_degree)
 from . import structure
 from .iso import AutGroup, automorphism_group, isomorphism, verify_isomorphism
 
@@ -205,11 +205,6 @@ THEOREMS = ("A", "B", "B-general", "C", "D", "D-moreover", "E", "F",
             "Cor-RAAG", "Cor-hyperfinite", "Cor-ICC")
 
 
-def _components_induced(g: SimpleGraph):
-    for comp in components(g):
-        yield induced(g, comp)[0]
-
-
 def check_hypotheses(lg: LabeledGraph, theorem: str) -> tuple[bool, list[str]]:
     """Evaluate one theorem's graph and label hypotheses; list what fails."""
     if theorem not in THEOREMS:
@@ -241,7 +236,7 @@ def check_hypotheses(lg: LabeledGraph, theorem: str) -> tuple[bool, list[str]]:
             need(structure.is_clique_reduced(u), "untransvectable-clique-reduced")
     elif theorem == "C":
         need(all(lab.ii1_factor for lab in labels), "all-ii1-factors")
-        comps = list(_components_induced(g))
+        comps = components_induced(g)
         need(all(structure.is_strongly_reduced(c) for c in comps),
              "components-strongly-reduced")
         need(all(structure.is_transvection_free(c) for c in comps),

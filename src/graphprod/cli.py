@@ -3,10 +3,14 @@
 Subcommands: analyze, classify, words, enumerate, verify, sample, iso.
 Output is deterministic JSON (sorted keys) or plain text for word queries.
 Exit codes: 0 success; 1 Undecided under --require-decision; 2 input error;
-3 enumeration cap exceeded.
+3 enumeration cap exceeded; 4 oracle disagreement (a fast path and its
+brute-force oracle gave different answers, which indicates a bug).
 
-The subset enumerators behind analyze/verify walk all 2^n vertex subsets, so
-keep graphs small (n <= ~20 for analyze, n <= 8 for verify).
+analyze takes polynomial time per reported set (its graph6 field limits it
+to n <= 62), but its module and maximal-join lists are output-sensitive: an
+edgeless part of k vertices has 2^k modules, and a dense G(40, 0.5) draw has
+thousands of maximal joins.  verify sweeps whole isomorphism catalogs, so it
+stops at n = 8.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from . import structure, verify, words
 from .classify import (THEOREMS, LabeledGraph, check_hypotheses, classify,
                        labeled_graph_from_json, labeled_isomorphism)
 from .errors import CapExceeded, OracleDisagreement
-from .graphs import (SimpleGraph, bits, components, contains_square,
-                     from_graph6, from_json_obj, girth, min_degree, to_graph6)
+from .graphs import (SimpleGraph, bits, components, components_induced,
+                     contains_square, from_graph6, from_json_obj, girth,
+                     min_degree, to_graph6)
 from .iso import isomorphism, verify_isomorphism
 
 
@@ -142,8 +147,7 @@ def cmd_analyze(args) -> int:
             "min-degree-at-least-2": min_degree(g) >= 2,
             "no-separating-star": structure.has_separating_star(g) is None,
             "components-strongly-reduced": all(
-                structure.is_strongly_reduced(c)
-                for c in (structure.induced(g, m)[0] for m in components(g))),
+                structure.is_strongly_reduced(c) for c in components_induced(g)),
             "clique-reduced": structure.is_clique_reduced(g),
             "empty-clique-factor": structure.maximal_clique_factor(g) == 0,
         }
@@ -305,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--graph6", help="inline graph6 string")
         sp.add_argument("--graph", help="edge-list JSON file")
 
-    sp = sub.add_parser("analyze", help="full structural report (exponential "
-                        "subset scans; intended for n <= ~20)")
+    sp = sub.add_parser("analyze", help="full structural report (module and "
+                        "maximal-join lists grow with their output)")
     add_graph_args(sp)
     sp.add_argument("--labels", help="labeled-graph JSON file (adds theorem matrix)")
     sp.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
@@ -367,6 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser from :func:`build_parser`, built once per process."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def main(argv=None) -> int:
     threads = os.environ.get("GRAPHPROD_THREADS", "0")
     try:
@@ -375,16 +390,18 @@ def main(argv=None) -> int:
     except ValueError:
         sys.stderr.write("GRAPHPROD_THREADS must be a nonnegative integer\n")
         return 2
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
-    except (CapExceeded, OracleDisagreement) as exc:
+    except CapExceeded as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return 3
+    except OracleDisagreement as exc:
+        sys.stderr.write(f"oracle disagreement: {exc}\n")
+        return 4
     except ValueError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2

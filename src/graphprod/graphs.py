@@ -171,6 +171,11 @@ def components(g: SimpleGraph, within: int | None = None) -> list[int]:
     return out
 
 
+def components_induced(g: SimpleGraph) -> list[SimpleGraph]:
+    """Induced subgraphs of the connected components, ordered by smallest vertex."""
+    return [induced(g, comp)[0] for comp in components(g)]
+
+
 def is_connected(g: SimpleGraph, within: int | None = None) -> bool:
     """True for the empty set and any set inducing a connected subgraph."""
     comps = components(g, within)
@@ -250,7 +255,8 @@ def girth(g: SimpleGraph) -> float:
 
     One BFS per start vertex; the first non-tree edge seen from vertex ``r``
     bounds the shortest cycle through ``r``, and the minimum over all roots
-    is exact.
+    is exact.  A triangle is the shortest possible cycle, so finding one
+    ends the search.
     """
     best = math.inf
     for root in range(g.n):
@@ -270,6 +276,8 @@ def girth(g: SimpleGraph) -> float:
                         nxt.append(w)
                     elif w != parent[v]:
                         best = min(best, dist[v] + dist[w] + 1)
+                        if best == 3:
+                            return best
             frontier = nxt
     return best
 

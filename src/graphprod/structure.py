@@ -5,8 +5,14 @@ link-star domination (transvections), the untransvectable subgraph, the
 quotient graph on domination classes, separating stars, and graph surgery
 (collapse / substitute).
 
-The subgraph enumerators walk all ``2**n`` vertex subsets; that is the
-definitionally exact semantics and is fine for the intended n <= ~20.
+Collapsible sets are exactly the modules of the graph (every outside vertex
+sees all of the set or none of it), and maximal join subgraphs are the
+inclusion-maximal unions ``A | perp(A)`` over the closed sets
+``A = perp(perp(A))``.  Both families are closure systems, so one NextClosure
+enumerator (Ganter 1984) lists each of them in time polynomial per set found;
+"strongly reduced" and "clique-reduced" are decided from module closures of
+vertex pairs and from true twins.  The exhaustive ``2**n`` subset walks that
+define these notions live in :mod:`graphprod.verify` as oracles.
 """
 
 from __future__ import annotations
@@ -53,6 +59,19 @@ def maximal_clique_factor(g: SimpleGraph) -> int:
     return mask_of(v for v in range(g.n) if star(g, v) == full)
 
 
+def _complement_component(g: SimpleGraph, within: int, seed: int) -> int:
+    """Component of the one-vertex mask ``seed`` in the complement of ``g[within]``."""
+    comp = seed
+    frontier = seed
+    while frontier:
+        grow = 0
+        for v in bits(frontier):
+            grow |= within & ~g.adj[v] & ~(1 << v)
+        frontier = grow & ~comp
+        comp |= frontier
+    return comp
+
+
 def is_join(g: SimpleGraph, s: int) -> bool:
     """True iff ``s`` (with >= 2 vertices) splits as a join of two nonempty parts.
 
@@ -61,18 +80,7 @@ def is_join(g: SimpleGraph, s: int) -> bool:
     """
     if s.bit_count() < 2:
         return False
-    first = s & -s
-    v0 = first.bit_length() - 1
-    # grow the complement-component of v0 within s
-    comp = first
-    frontier = first
-    while frontier:
-        grow = 0
-        for v in bits(frontier):
-            grow |= s & ~g.adj[v] & ~(1 << v)
-        frontier = grow & ~comp
-        comp |= frontier
-    return comp != s
+    return _complement_component(g, s, s & -s) != s
 
 
 def join_decomposition(g: SimpleGraph) -> JoinDecomposition:
@@ -84,15 +92,7 @@ def join_decomposition(g: SimpleGraph) -> JoinDecomposition:
     parts = []
     left = rest
     while left:
-        seed = left & -left
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= rest & ~g.adj[v] & ~(1 << v)
-            frontier = grow & ~comp
-            comp |= frontier
+        comp = _complement_component(g, rest, left & -left)
         parts.append(comp)
         left &= ~comp
     for p in parts:
@@ -101,14 +101,79 @@ def join_decomposition(g: SimpleGraph) -> JoinDecomposition:
     return JoinDecomposition(clique, tuple(parts))
 
 
+def _next_closure(n: int, close):
+    """Yield every closed set of the closure operator ``close`` on ``range(n)``.
+
+    Ganter's NextClosure over bitmasks: closed sets come in lectic order, and
+    the successor of ``a`` is ``close((a & (bit - 1)) | bit)`` for the
+    largest ``bit`` not in ``a`` whose closure adds no vertex below ``bit``.
+    Each closed set costs at most ``n`` calls to ``close``, and no other set
+    is visited.
+    """
+    full = (1 << n) - 1
+    a = close(0)
+    while True:
+        yield a
+        if a == full:
+            return
+        for i in range(n - 1, -1, -1):
+            bit = 1 << i
+            if a & bit:
+                a ^= bit
+                continue
+            b = close(a | bit)
+            if b & (bit - 1) == a:
+                a = b
+                break
+
+
+def _perp_closure(g: SimpleGraph):
+    """``s -> perp(perp(s))``, the closure of the adjacency Galois connection.
+
+    Inlines :func:`perp` without its argument check: this is the inner loop
+    of the maximal-join enumeration.
+    """
+    adj = g.adj
+    full = g.full_mask
+
+    def perp_of(s: int) -> int:
+        out = full
+        while s:
+            low = s & -s
+            out &= adj[low.bit_length() - 1]
+            s ^= low
+        return out
+
+    return lambda s: perp_of(perp_of(s))
+
+
 def maximal_join_subgraphs(g: SimpleGraph) -> list[int]:
     """All maximal (under inclusion) full subgraphs that split as a join.
 
-    Exhaustive over the subset lattice; results ordered by (size, mask).
+    Any join ``A | B`` lies in ``A' | perp(A')`` for the closed set
+    ``A' = perp(perp(A))``, so every maximal join is ``A | perp(A)`` for a
+    closed ``A`` with both parts nonempty.  A join ``s`` that is not maximal
+    already grows by one vertex: some ``x`` outside ``s`` is adjacent to all
+    of a complement component of ``g[s]``.  So ``s`` is maximal iff every
+    complement component keeps its common neighbours inside ``s``, a test
+    linear in ``n`` per candidate.  Output-sensitive: polynomial per closed
+    set.  Results ordered by (size, mask).
     """
-    joins = [s for s in range(1, 1 << g.n) if is_join(g, s)]
-    out = [s for s in joins
-           if not any(t != s and t & s == s for t in joins)]
+    joins = set()
+    for a in _next_closure(g.n, _perp_closure(g)):
+        b = perp(g, a)
+        if a and b:
+            joins.add(a | b)
+    out = []
+    for s in joins:
+        left = s
+        while left:
+            comp = _complement_component(g, s, left & -left)
+            if perp(g, comp) & ~s:
+                break
+            left &= ~comp
+        else:
+            out.append(s)
     out.sort(key=lambda s: (s.bit_count(), s))
     return out
 
@@ -125,36 +190,70 @@ def is_collapsible(g: SimpleGraph, s: int) -> bool:
     return True
 
 
+def module_closure(g: SimpleGraph, s: int) -> int:
+    """Smallest collapsible set (module) containing ``s``; the empty set stays empty.
+
+    An outside vertex that sees some but not all of ``s`` must join any
+    module containing ``s``.  Those are the vertices adjacent to some vertex
+    of ``s`` (``seen``) but not to all of them (``common``); adding them to a
+    fixpoint gives the least module, in time linear in its size.
+    """
+    adj = g.adj
+    seen, common = 0, g.full_mask
+    out, new = 0, s
+    while new:
+        out |= new
+        while new:
+            low = new & -new
+            row = adj[low.bit_length() - 1]
+            seen |= row
+            common &= row
+            new ^= low
+        new = seen & ~common & ~out
+    return out
+
+
 def collapsible_subgraphs(g: SimpleGraph, min_size: int) -> list[int]:
     """All collapsible vertex sets with at least ``min_size`` vertices.
 
-    The full vertex set always qualifies.  Ordered by (size, mask).
+    Modules together with the empty set are closed under intersection, so
+    they are the closed sets of :func:`module_closure` and NextClosure lists
+    them in time polynomial per module.  The output itself can be
+    exponential: every subset of an edgeless part is a module.  The full
+    vertex set always qualifies.  Ordered by (size, mask).
     """
     if min_size < 1:
         raise ValueError("min_size must be at least 1")
-    out = [s for s in range(1, 1 << g.n)
-           if s.bit_count() >= min_size and is_collapsible(g, s)]
+    out = [s for s in _next_closure(g.n, lambda s: module_closure(g, s))
+           if s.bit_count() >= min_size]
     out.sort(key=lambda s: (s.bit_count(), s))
     return out
 
 
 def is_strongly_reduced(g: SimpleGraph) -> bool:
-    """No proper collapsible full subgraph on >= 2 vertices."""
+    """No proper collapsible full subgraph on >= 2 vertices.
+
+    Such a set exists iff the module closure of one of its vertex pairs is
+    proper, so testing every pair decides it.
+    """
     full = g.full_mask
-    for s in range(1, 1 << g.n):
-        if s != full and s.bit_count() >= 2 and is_collapsible(g, s):
-            return False
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if module_closure(g, 1 << u | 1 << v) != full:
+                return False
     return True
 
 
 def is_clique_reduced(g: SimpleGraph) -> bool:
-    """No proper collapsible complete full subgraph on >= 2 vertices."""
-    full = g.full_mask
-    for s in range(1, 1 << g.n):
-        if (s != full and s.bit_count() >= 2 and is_clique(g, s)
-                and is_collapsible(g, s)):
-            return False
-    return True
+    """No proper collapsible complete full subgraph on >= 2 vertices.
+
+    Two vertices of a collapsible clique have equal stars, and true twins
+    (``st(u) == st(v)``) form a collapsible edge, so it suffices to look for
+    twins other than the whole graph (only K2 is its own twin pair).
+    """
+    if g.n == 2:
+        return True  # K2's only twin pair is the whole graph
+    return len({star(g, v) for v in range(g.n)}) == g.n
 
 
 # -- transvections ----------------------------------------------------------

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapExceeded
-from .graphs import (SimpleGraph, bits, components, contains_square, girth,
-                     induced, is_clique, is_edgeless, mask_of, min_degree,
-                     star)
+from .graphs import (SimpleGraph, bits, components, components_induced,
+                     contains_square, girth, induced, is_clique, is_edgeless,
+                     mask_of, min_degree, star)
 from . import structure
 from .iso import automorphism_group
 
@@ -118,12 +118,48 @@ def enumerate_graphs(n: int) -> GraphCatalog:
     return GraphCatalog(n, graphs)
 
 
+# -- exhaustive structure oracles ----------------------------------------------
+#
+# The definitions of the subgraph families in graphprod.structure, read
+# literally: walk all 2**n vertex subsets.  The fast paths there never call
+# these; the tests compare the two on catalogs and random graphs.
+
+def collapsible_subgraphs_exhaustive(g: SimpleGraph, min_size: int) -> list[int]:
+    """Every collapsible set with at least ``min_size`` vertices, by (size, mask)."""
+    if min_size < 1:
+        raise ValueError("min_size must be at least 1")
+    out = [s for s in range(1, 1 << g.n)
+           if s.bit_count() >= min_size and structure.is_collapsible(g, s)]
+    out.sort(key=lambda s: (s.bit_count(), s))
+    return out
+
+
+def is_strongly_reduced_exhaustive(g: SimpleGraph) -> bool:
+    """No proper collapsible set on >= 2 vertices."""
+    full = g.full_mask
+    return not any(s != full and s.bit_count() >= 2
+                   and structure.is_collapsible(g, s)
+                   for s in range(1, 1 << g.n))
+
+
+def is_clique_reduced_exhaustive(g: SimpleGraph) -> bool:
+    """No proper collapsible clique on >= 2 vertices."""
+    full = g.full_mask
+    return not any(s != full and s.bit_count() >= 2 and is_clique(g, s)
+                   and structure.is_collapsible(g, s)
+                   for s in range(1, 1 << g.n))
+
+
+def maximal_join_subgraphs_exhaustive(g: SimpleGraph) -> list[int]:
+    """Every inclusion-maximal vertex set that splits as a join, by (size, mask)."""
+    joins = [s for s in range(1, 1 << g.n) if structure.is_join(g, s)]
+    out = [s for s in joins
+           if not any(t != s and t & s == s for t in joins)]
+    out.sort(key=lambda s: (s.bit_count(), s))
+    return out
+
+
 # -- lemma sweeps -------------------------------------------------------------
-
-def _components_induced(g: SimpleGraph):
-    for comp in components(g):
-        yield induced(g, comp)[0]
-
 
 def _hyp_girth_mindeg(g: SimpleGraph) -> bool:
     return girth(g) >= 5 and min_degree(g) >= 2
@@ -138,7 +174,7 @@ def _hyp_tf_square_free(g: SimpleGraph) -> bool:
 
 
 def _con_components_strongly_reduced(g: SimpleGraph) -> bool:
-    return all(structure.is_strongly_reduced(c) for c in _components_induced(g))
+    return all(structure.is_strongly_reduced(c) for c in components_induced(g))
 
 
 def _con_collapsible_union(g: SimpleGraph) -> bool:

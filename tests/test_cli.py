@@ -190,7 +190,50 @@ class TestIso:
         validate(obj, "iso.schema.json")
 
 
+class TestErrorPaths:
+    def test_oracle_disagreement_exit_4(self, capsys, monkeypatch):
+        import graphprod.words as words_mod
+        from graphprod.errors import OracleDisagreement
+
+        def disagree(word, factors):
+            raise OracleDisagreement("engine says member, oracle says not")
+
+        monkeypatch.setattr(words_mod, "product_set_membership", disagree)
+        code = main(["words", "--graph6", to_graph6(cycle_graph(5)),
+                     "product", "0", "--sets", "0"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err == "oracle disagreement: engine says member, oracle says not\n"
+
+
 class TestProcessLevel:
+    def test_repeated_main_matches_fresh_processes(self, capsys, monkeypatch):
+        # the parser is built once per process; later calls with other
+        # subcommands must print and exit exactly as a fresh process does
+        monkeypatch.setenv("COLUMNS", "80")  # same usage wrapping in both
+        c5 = to_graph6(cycle_graph(5))
+        runs = [
+            ["analyze", "--graph6", to_graph6(petersen_graph())],
+            ["words", "--graph6", c5, "reduce", "0", "1", "1"],
+            ["enumerate", "--n", "4"],
+            ["analyze", "--graph6", c5, "--dot"],
+            ["words", "--graph6", c5, "reduce", "zero"],
+            ["words", "--graph6", c5, "nonsense"],
+            ["iso", "--graph6-a", c5, "--graph6-b", c5],
+            ["analyze", "--graph6", c5],
+        ]
+        for argv in runs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            got = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "graphprod.cli", *argv],
+                                   capture_output=True, text=True)
+            assert (code, got.out, got.err) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
     def test_console_script_round_trip(self, tmp_path):
         env = dict(os.environ)
         cmd = [sys.executable, "-m", "graphprod.cli", "analyze", "--graph6",

@@ -88,6 +88,30 @@ class TestGirthAndSquares:
             g = random_mask_graph(7, seed)
             assert girth(g) == brute_girth(g)
 
+    def test_girth_triangle_on_last_vertices(self):
+        # a pentagon on 0..4, a path 4-5, and the only triangle on 5, 6, 7:
+        # the roots before 5 all settle on 5, and only the last roots see the
+        # triangle, so stopping at the first 3 must not stop any earlier
+        g = SimpleGraph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                                       (4, 5), (5, 6), (6, 7), (7, 5)])
+        assert girth(g) == brute_girth(g) == 3
+
+    def test_girth_stops_at_first_triangle(self, monkeypatch):
+        # a triangle through root 0 ends the search inside the first BFS
+        import graphprod.graphs as graphs_mod
+        g = SimpleGraph.from_edges(
+            12, [(0, 1), (1, 2), (2, 0)] + [(v, v + 1) for v in range(2, 11)])
+        calls = []
+        real_bits = graphs_mod.bits
+
+        def counting_bits(mask):
+            calls.append(mask)
+            return real_bits(mask)
+
+        monkeypatch.setattr(graphs_mod, "bits", counting_bits)
+        assert girth(g) == 3
+        assert len(calls) < g.n
+
     def test_contains_square(self, c4, c5, k4):
         assert contains_square(c4)
         assert not contains_square(c5)

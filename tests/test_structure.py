@@ -12,9 +12,14 @@ from graphprod.structure import (collapse, collapsible_subgraphs,
                                  is_collapsible, is_join, is_strongly_reduced,
                                  is_transvection_free, join_decomposition,
                                  maximal_clique_factor, maximal_join_subgraphs,
-                                 substitute, transvection_structure,
+                                 module_closure, substitute,
+                                 transvection_structure,
                                  untransvectable_subgraph,
                                  untransvectable_vertices)
+from graphprod.verify import (collapsible_subgraphs_exhaustive,
+                              enumerate_graphs, is_clique_reduced_exhaustive,
+                              is_strongly_reduced_exhaustive,
+                              maximal_join_subgraphs_exhaustive, random_graph)
 
 
 def brute_collapsible(g, s):
@@ -103,6 +108,59 @@ class TestCollapsible:
         assert (is_strongly_reduced(c4), is_clique_reduced(c4)) == (False, True)
         k3 = complete_graph(3)
         assert (is_strongly_reduced(k3), is_clique_reduced(k3)) == (False, False)
+
+
+def assert_matches_oracles(g):
+    for k in (1, 2):
+        assert collapsible_subgraphs(g, k) == collapsible_subgraphs_exhaustive(g, k)
+    assert maximal_join_subgraphs(g) == maximal_join_subgraphs_exhaustive(g)
+    assert is_strongly_reduced(g) == is_strongly_reduced_exhaustive(g)
+    assert is_clique_reduced(g) == is_clique_reduced_exhaustive(g)
+
+
+class TestAgainstExhaustiveOracles:
+    """The NextClosure, module-closure and twin paths against the 2^n walks."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_catalog(self, n):
+        for g in enumerate_graphs(n).graphs:
+            assert_matches_oracles(g)
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_random_graphs(self, n):
+        for trial, p in enumerate((0.1, 0.3, 0.5, 0.7, 0.9)):
+            assert_matches_oracles(random_graph(n, p, seed=n, trial=trial))
+
+    def test_empty_graph(self):
+        g = SimpleGraph(0, ())
+        assert collapsible_subgraphs(g, 1) == []
+        assert maximal_join_subgraphs(g) == []
+        assert is_strongly_reduced(g) and is_clique_reduced(g)
+
+    def test_k2_is_its_own_twin_pair(self, edge):
+        assert is_clique_reduced(edge) and is_clique_reduced_exhaustive(edge)
+        assert not is_clique_reduced(complete_graph(3))
+
+    def test_module_closure_is_least_collapsible_superset(self):
+        for g in enumerate_graphs(5).graphs:
+            modules = collapsible_subgraphs_exhaustive(g, 1)
+            for s in range(1, 1 << g.n):
+                least = min((m for m in modules if m & s == s),
+                            key=lambda m: m.bit_count())
+                assert module_closure(g, s) == least
+            assert module_closure(g, 0) == 0
+
+    @pytest.mark.parametrize("k", range(13))
+    def test_edgeless_every_subset(self, k):
+        assert len(collapsible_subgraphs(edgeless_graph(k), 2)) == 2 ** k - k - 1
+
+    def test_n64_smoke(self):
+        import time
+        g = random_graph(64, 0.1, seed=1)
+        for fn in (is_strongly_reduced, lambda h: collapsible_subgraphs(h, 2)):
+            t0 = time.perf_counter()
+            fn(g)
+            assert time.perf_counter() - t0 < 1.0
 
 
 class TestTransvections:
