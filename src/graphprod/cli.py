@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import structure, verify, words
@@ -383,13 +382,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("GRAPHPROD_THREADS", "0")
-    try:
-        if int(threads) < 0:
-            raise ValueError
-    except ValueError:
-        sys.stderr.write("GRAPHPROD_THREADS must be a nonnegative integer\n")
-        return 2
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

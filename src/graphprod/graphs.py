@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
@@ -94,6 +95,16 @@ class SimpleGraph:
         for v in range(self.n):
             for w in bits(self.adj[v] >> (v + 1) << (v + 1)):
                 yield (v, w)
+
+    @cached_property
+    def nonadj(self) -> tuple[int, ...]:
+        """``nonadj[v]``: the vertices not adjacent to ``v``, ``v`` included.
+
+        Computed once per graph object (the word engine reads it on every
+        operation).
+        """
+        full = self.full_mask
+        return tuple(full & ~row for row in self.adj)
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2

@@ -263,42 +263,51 @@ def dominates(g: SimpleGraph, v: int, w: int) -> bool:
     return v != w and not link(g, v) & ~star(g, w)
 
 
+def _domination_rows(g: SimpleGraph) -> list[int]:
+    """``rows[v]``: the vertices ``w`` with ``v <= w`` (see :func:`dominates`)."""
+    stars = [row | 1 << w for w, row in enumerate(g.adj)]
+    return [mask_of(w for w in range(g.n) if w != v and not lk & ~stars[w])
+            for v, lk in enumerate(g.adj)]
+
+
+def _pairs_from_rows(rows: list[int]) -> list[tuple[int, int]]:
+    return [(v, w) for v, row in enumerate(rows) for w in bits(row)]
+
+
+def _untransvectable_from_rows(rows: list[int]) -> int:
+    return mask_of(v for v, row in enumerate(rows) if not row)
+
+
 def domination_pairs(g: SimpleGraph) -> list[tuple[int, int]]:
     """All ordered pairs (v, w), v != w, with lk(v) a subset of st(w)."""
-    return [(v, w) for v in range(g.n) for w in range(g.n)
-            if dominates(g, v, w)]
+    return _pairs_from_rows(_domination_rows(g))
 
 
 def untransvectable_vertices(g: SimpleGraph) -> int:
     """Vertices v with no w != v satisfying lk(v) within st(w)."""
-    out = 0
-    for v in range(g.n):
-        if not any(dominates(g, v, w) for w in range(g.n)):
-            out |= 1 << v
-    return out
+    return _untransvectable_from_rows(_domination_rows(g))
 
 
 def is_transvection_free(g: SimpleGraph) -> bool:
     return untransvectable_vertices(g) == g.full_mask
 
 
-def domination_classes(g: SimpleGraph) -> QuotientGraph:
-    """Quotient by ``v ~ v'`` (mutual domination, reflexively closed)."""
+def _quotient_from_rows(g: SimpleGraph, rows: list[int]) -> QuotientGraph:
     classes: list[int] = []
     cls_of = [-1] * g.n
+    assigned = 0
     for v in range(g.n):
-        if cls_of[v] >= 0:
+        if assigned >> v & 1:
             continue
-        m = 1 << v
-        for w in range(v + 1, g.n):
-            if cls_of[w] < 0 and dominates(g, v, w) and dominates(g, w, v):
-                m |= 1 << w
+        mutual = mask_of(w for w in bits(rows[v]) if rows[w] >> v & 1)
+        m = 1 << v | (mutual & ~assigned) >> (v + 1) << (v + 1)
         idx = len(classes)
         classes.append(m)
+        assigned |= m
         for w in bits(m):
             cls_of[w] = idx
     k = len(classes)
-    rows = [0] * k
+    rows_q = [0] * k
     for i in range(k):
         for j in range(i + 1, k):
             reps = [(v, w) for v in bits(classes[i]) for w in bits(classes[j])]
@@ -306,16 +315,25 @@ def domination_classes(g: SimpleGraph) -> QuotientGraph:
             # adjacency between classes never depends on the representatives
             assert all(adj) or not any(adj)
             if adj[0]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return QuotientGraph(tuple(classes), SimpleGraph(k, tuple(rows)),
+                rows_q[i] |= 1 << j
+                rows_q[j] |= 1 << i
+    return QuotientGraph(tuple(classes), SimpleGraph(k, tuple(rows_q)),
                          tuple(cls_of))
 
 
+def domination_classes(g: SimpleGraph) -> QuotientGraph:
+    """Quotient by ``v ~ v'`` (mutual domination, reflexively closed)."""
+    return _quotient_from_rows(g, _domination_rows(g))
+
+
 def transvection_structure(g: SimpleGraph):
-    """(untransvectable mask, ordered domination pairs, quotient graph)."""
-    return (untransvectable_vertices(g), domination_pairs(g),
-            domination_classes(g))
+    """(untransvectable mask, ordered domination pairs, quotient graph).
+
+    The domination relation is decided once and all three are read off it.
+    """
+    rows = _domination_rows(g)
+    return (_untransvectable_from_rows(rows), _pairs_from_rows(rows),
+            _quotient_from_rows(g, rows))
 
 
 def untransvectable_subgraph(g: SimpleGraph) -> SimpleGraph:

@@ -5,11 +5,15 @@ The word oracle reduces words by repeatedly deleting letter pairs that can be
 brought together through commuting letters, then takes the Cartier-Foata
 block normal form of the result as the element key; the engine in
 :mod:`graphprod.words` uses a ShortLex scheme instead, so agreement between
-the two is meaningful.
+the two is meaningful.  Balls of elements are checked twice: against the
+Cayley-graph BFS that deduplicates by normal form (it shares the engine's
+letter-by-letter reduction, not its automaton walk) and against the
+closed-form growth series computed from clique counts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,6 +23,7 @@ from .graphs import (SimpleGraph, bits, components, components_induced,
                      mask_of, min_degree, star)
 from . import structure
 from .iso import automorphism_group
+from .words import _reduced_append, _shortlex
 
 # unlabeled simple graph counts (OEIS A000088), index = vertex count
 KNOWN_GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
@@ -333,13 +338,6 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _edge_bit(seed: int, trial: int, edge: int, threshold: int) -> bool:
-    # counter-based: the bit depends only on (seed, trial, edge), so any
-    # sharding of trials or edges reproduces the same graphs
-    u = _splitmix64(_splitmix64(_splitmix64(seed & _M64) ^ trial) ^ edge)
-    return u < threshold
-
-
 SAMPLE_PREDICATES = {
     "transvection_free": structure.is_transvection_free,
     "girth_ge_5": lambda g: girth(g) >= 5,
@@ -373,11 +371,15 @@ def random_graph(n: int, p: float, seed: int, trial: int = 0) -> SimpleGraph:
     if not 0 < p < 1:
         raise ValueError("p must lie strictly between 0 and 1")
     threshold = round(p * 2.0 ** 64)
+    # counter-based: edge e is present iff hash(key ^ e) < threshold, with
+    # key a hash of (seed, trial), so any sharding of trials or edges
+    # reproduces the same graphs
+    key = _splitmix64(_splitmix64(seed & _M64) ^ trial)
     rows = [0] * n
     e = 0
     for i in range(n):
         for j in range(i + 1, n):
-            if _edge_bit(seed, trial, e, threshold):
+            if _splitmix64(key ^ e) < threshold:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             e += 1
@@ -400,6 +402,81 @@ def sample_er(n: int, p: float, trials: int, seed: int,
                 counts[name] += 1
     return SampleReport(n, p, trials, seed,
                         tuple(sorted(counts.items())))
+
+
+# -- word balls: the Cayley-graph BFS and the growth series ------------------
+
+def enumerate_words_bfs(graph: SimpleGraph, max_len: int,
+                        letters: int | None = None) -> tuple[tuple, tuple[int, ...]]:
+    """``(words, strata)`` of the ball, by BFS over the Cayley graph.
+
+    Every element of a layer is multiplied by every letter of ``letters``
+    (default: all vertices), reduced to ShortLex normal form and deduplicated
+    against the elements seen so far; each layer is sorted.  This is the
+    enumerator the automaton walk in :mod:`graphprod.words` replaced, kept to
+    check that walk's output and order.
+    """
+    nonadj = graph.nonadj
+    adj = graph.adj
+    gens = list(bits(graph.full_mask if letters is None else letters))
+    seen = {()}
+    strata = [1]
+    frontier = [()]
+    words = [()]
+    for _ in range(max_len):
+        nxt = []
+        for w in frontier:
+            for a in gens:
+                lst = list(w)
+                _reduced_append(adj, lst, a)
+                if len(lst) <= len(w):
+                    continue
+                nf = _shortlex(nonadj, lst)
+                if nf not in seen:
+                    seen.add(nf)
+                    nxt.append(nf)
+        nxt.sort()
+        strata.append(len(nxt))
+        words.extend(nxt)
+        frontier = nxt
+    return tuple(words), tuple(strata)
+
+
+def _clique_counts(g: SimpleGraph) -> list[int]:
+    """``counts[k]``: the number of cliques on ``k`` vertices (``counts[0] == 1``)."""
+    counts = [1]
+
+    def grow(size: int, candidates: int):
+        for v in bits(candidates):
+            if len(counts) <= size + 1:
+                counts.append(0)
+            counts[size + 1] += 1
+            grow(size + 1, candidates & g.adj[v] & ~((2 << v) - 1))
+
+    grow(0, g.full_mask)
+    return counts
+
+
+def growth_series(g: SimpleGraph, max_len: int) -> tuple[int, ...]:
+    """Number of elements of each length 0..max_len, in closed form.
+
+    The growth series W(t) of a right-angled Coxeter group satisfies
+    1/W(t) = sum over cliques s of (-t/(1+t))**|s|.  With d the clique
+    number, multiplying through by (1+t)**d gives W = (1+t)**d / P with
+    P(t) = sum_k c_k (-t)**k (1+t)**(d-k) and P(0) = 1, so the coefficients
+    follow from integer power-series division.
+    """
+    counts = _clique_counts(g)
+    d = len(counts) - 1
+    poly = [0] * (d + 1)
+    for k, c in enumerate(counts):
+        for j in range(d - k + 1):  # (-t)**k * binom(d-k, j) t**j
+            poly[k + j] += c * (-1) ** k * math.comb(d - k, j)
+    out: list[int] = []
+    for m in range(max_len + 1):
+        out.append(math.comb(d, m) - sum(poly[j] * out[m - j]
+                                         for j in range(1, min(m, d) + 1)))
+    return tuple(out)
 
 
 # -- the word oracle -----------------------------------------------------------

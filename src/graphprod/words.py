@@ -13,6 +13,17 @@ reduced) or extends the word.  The ShortLex-least representative of the
 resulting commutation class is then extracted greedily: repeatedly pull out
 the smallest letter whose occurrences can be moved to the front, i.e. which
 has no earlier non-commuting letter.
+
+Balls of elements are listed without reducing any word.  The normal forms are
+the language of a finite automaton (Hermiller & Meier 1995; Brink & Howlett
+1993 for general Coxeter groups) whose state after a normal form ``w`` is a
+pair of letter masks: ``E``, the letters ``a`` with ``|w.a| < |w|``, and
+``F``, the letters ``a`` that commute with a suffix of ``w`` starting with a
+letter larger than ``a`` (moving ``a`` in front of that suffix gives a
+lex-smaller word).  Appending ``c`` keeps a normal form iff ``c`` is in
+neither mask, and the next state depends only on the old state and ``c``.  Every normal form of
+length ``k + 1`` has exactly one parent of length ``k`` (drop its last
+letter), so the walk reaches each element once, with no deduplication.
 """
 
 from __future__ import annotations
@@ -25,12 +36,6 @@ from .errors import CapExceeded, OracleDisagreement
 from .graphs import SimpleGraph, bits, link
 
 Letters = tuple[int, ...]
-
-
-def _nonadj(g: SimpleGraph) -> tuple[int, ...]:
-    # bit w set in row v  <=>  w does not commute with v (includes w == v)
-    full = g.full_mask
-    return tuple(full & ~row for row in g.adj)
 
 
 def _reduced_append(adj: Sequence[int], word: list[int], a: int) -> None:
@@ -117,7 +122,7 @@ def reduce_word(graph: SimpleGraph, raw: Iterable[int]) -> CoxeterWord:
         if not 0 <= a < graph.n:
             raise ValueError(f"letter {a} out of range")
         _reduced_append(adj, word, a)
-    return CoxeterWord(graph, _shortlex(_nonadj(graph), word))
+    return CoxeterWord(graph, _shortlex(graph.nonadj, word))
 
 
 def multiply(a: CoxeterWord, b: CoxeterWord) -> CoxeterWord:
@@ -126,12 +131,12 @@ def multiply(a: CoxeterWord, b: CoxeterWord) -> CoxeterWord:
     word = list(a.letters)
     for x in b.letters:
         _reduced_append(adj, word, x)
-    return CoxeterWord(a.graph, _shortlex(_nonadj(a.graph), word))
+    return CoxeterWord(a.graph, _shortlex(a.graph.nonadj, word))
 
 
 def invert(a: CoxeterWord) -> CoxeterWord:
     # generators are involutions, so the reverse word is the inverse
-    return CoxeterWord(a.graph, _shortlex(_nonadj(a.graph), reversed(a.letters)))
+    return CoxeterWord(a.graph, _shortlex(a.graph.nonadj, reversed(a.letters)))
 
 
 def support(w: CoxeterWord) -> int:
@@ -143,12 +148,12 @@ def support(w: CoxeterWord) -> int:
 
 def starts_with(w: CoxeterWord) -> int:
     """Mask of letters a with |a.w| < |w|."""
-    return _initial_letters(_nonadj(w.graph), w.letters)
+    return _initial_letters(w.graph.nonadj, w.letters)
 
 
 def ends_with(w: CoxeterWord) -> int:
     """Mask of letters a with |w.a| < |w|."""
-    return _initial_letters(_nonadj(w.graph), tuple(reversed(w.letters)))
+    return _initial_letters(w.graph.nonadj, tuple(reversed(w.letters)))
 
 
 def link_of_word(w: CoxeterWord) -> int:
@@ -192,61 +197,65 @@ class Enumeration:
         return {w: i for i, w in enumerate(self.words)}
 
 
-def enumerate_words(graph: SimpleGraph, max_len: int,
-                    cap: int = 10_000_000) -> Enumeration:
-    """BFS over the Cayley graph, deduplicated by normal form."""
-    nonadj = _nonadj(graph)
+def _shortlex_ball(graph: SimpleGraph, letters: int, max_len: int,
+                   cap: int | None) -> tuple[tuple[Letters, ...], tuple[int, ...]]:
+    """Normal forms over the letter mask ``letters`` up to length ``max_len``.
+
+    Returns ``(words, strata)`` with ``words`` in (length, normal form) order.
+    One layer at a time, each normal form is extended by every letter its
+    automaton state ``(E, F)`` allows, in increasing letter order; since the
+    layer is sorted, so is the next one.  The states of a layer are kept in
+    two lists parallel to it.  The size of the next layer is counted from the
+    states before the layer is built, so a ball larger than ``cap`` raises
+    :class:`CapExceeded` without allocating it.
+    """
     adj = graph.adj
-    seen = {()}
-    strata = [1]
-    frontier = [()]
+    moves = [(c, 1 << c, adj[c], adj[c] & ((1 << c) - 1)) for c in bits(letters)]
+    layer: list[Letters] = [()]
+    es = [0]
+    fs = [0]
     words = [()]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for a in range(graph.n):
-                lst = list(w)
-                _reduced_append(adj, lst, a)
-                if len(lst) <= len(w):
-                    continue
-                nf = _shortlex(nonadj, lst)
-                if nf not in seen:
-                    seen.add(nf)
-                    nxt.append(nf)
-                    if len(seen) > cap:
-                        raise CapExceeded(
-                            f"element count exceeded cap {cap}")
-        nxt.sort()
+    strata = [1]
+    for k in range(max_len):
+        size = sum((letters & ~(e | f)).bit_count() for e, f in zip(es, fs))
+        if cap is not None and len(words) + size > cap:
+            raise CapExceeded(f"element count exceeded cap {cap}")
+        nxt: list[Letters] = []
+        next_es: list[int] = []
+        next_fs: list[int] = []
+        if k + 1 == max_len:  # nothing reads the states of the last layer
+            nxt = [w + (c,) for w, e, f in zip(layer, es, fs)
+                   for c, bit, _, _ in moves if not (e | f) & bit]
+        else:
+            add_word, add_e, add_f = nxt.append, next_es.append, next_fs.append
+            for w, e, f in zip(layer, es, fs):
+                barred = e | f
+                for c, bit, row, lower in moves:
+                    if not barred & bit:
+                        add_word(w + (c,))
+                        add_e(e & row | bit)
+                        add_f(f & row | lower)
         strata.append(len(nxt))
         words.extend(nxt)
-        frontier = nxt
-    return Enumeration(graph, max_len, tuple(words), tuple(strata))
+        layer, es, fs = nxt, next_es, next_fs
+    layer.clear()  # free the last layer's list before ``words`` is copied
+    return tuple(words), tuple(strata)
+
+
+def enumerate_words(graph: SimpleGraph, max_len: int,
+                    cap: int = 10_000_000) -> Enumeration:
+    """All elements of length <= ``max_len``, by the ShortLex automaton walk.
+
+    Raises :class:`CapExceeded` if the ball has more than ``cap`` elements.
+    """
+    words, strata = _shortlex_ball(graph, graph.full_mask, max_len, cap)
+    return Enumeration(graph, max_len, words, strata)
 
 
 @lru_cache(maxsize=256)
 def _parabolic_ball(graph: SimpleGraph, s: int, max_len: int) -> tuple[Letters, ...]:
     """Normal forms of all elements of the parabolic on ``s`` with length <= max_len."""
-    nonadj = _nonadj(graph)
-    adj = graph.adj
-    seen = {()}
-    frontier = [()]
-    out = [()]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for a in bits(s):
-                lst = list(w)
-                _reduced_append(adj, lst, a)
-                if len(lst) <= len(w):
-                    continue
-                nf = _shortlex(nonadj, lst)
-                if nf not in seen:
-                    seen.add(nf)
-                    nxt.append(nf)
-        nxt.sort()
-        out.extend(nxt)
-        frontier = nxt
-    return tuple(out)
+    return _shortlex_ball(graph, s, max_len, None)[0]
 
 
 def parabolic_ball(graph: SimpleGraph, s: int, max_len: int) -> tuple[Letters, ...]:
@@ -341,7 +350,7 @@ def split_lcr(w: CoxeterWord, left_s: int, right_s: int) -> WordDecomposition:
     (then from the right); lengths add by construction.
     """
     g = w.graph
-    nonadj = _nonadj(g)
+    nonadj = g.nonadj
     core = list(w.letters)
     left: list[int] = []
     while True:

@@ -21,7 +21,7 @@ from graphprod.verify import (KNOWN_GRAPH_COUNTS, LEMMAS, WordOracle,
                               check_lemma, enumerate_graphs, sample_er)
 from graphprod.words import (enumerate_words, parabolic_ball,
                              product_set_membership, reduce_word)
-from graphprod.words import _nonadj, _reduced_append, _shortlex
+from graphprod.words import _reduced_append, _shortlex
 
 
 @pytest.fixture
@@ -64,7 +64,7 @@ def _engine_oracle_agreement(g, max_len):
     words), and that the element -> normal form map is injective.
     """
     oracle = WordOracle(g, max_len)
-    nonadj = _nonadj(g)
+    nonadj = g.nonadj
     eng = [None] * len(oracle.words)
     eng[0] = ()
     for i in range(len(oracle.words)):

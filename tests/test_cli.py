@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -127,6 +126,16 @@ class TestWords:
                              "--max-len", "6"], capsys)
         assert out.strip() == "holds"
 
+    def test_enumerate_cap(self, capsys):
+        # the 5-cycle has 21 elements of length <= 2
+        argv = ["words", "--graph6", to_graph6(cycle_graph(5)), "enumerate",
+                "--max-len", "2", "--cap"]
+        assert main(argv + ["20"]) == 3
+        got = capsys.readouterr()
+        assert got.out == "" and got.err.startswith("cap exceeded")
+        code, out = run_cli(argv + ["21"], capsys)
+        assert code == 0 and out.startswith("21 elements")
+
     def test_bad_letters(self, capsys):
         code = main(["words", "--graph6", to_graph6(cycle_graph(5)),
                      "reduce", "zero"])
@@ -235,22 +244,12 @@ class TestProcessLevel:
 
 
     def test_console_script_round_trip(self, tmp_path):
-        env = dict(os.environ)
+        g = petersen_graph()
         cmd = [sys.executable, "-m", "graphprod.cli", "analyze", "--graph6",
-               to_graph6(petersen_graph())]
-        one = subprocess.run(cmd, capture_output=True, env=env)
-        env["GRAPHPROD_THREADS"] = "2"
-        two = subprocess.run(cmd, capture_output=True, env=env)
-        assert one.returncode == two.returncode == 0
-        assert one.stdout == two.stdout  # byte-identical across thread counts
-
-    def test_bad_threads_env(self):
-        env = dict(os.environ)
-        env["GRAPHPROD_THREADS"] = "many"
-        proc = subprocess.run(
-            [sys.executable, "-m", "graphprod.cli", "enumerate", "--n", "3"],
-            capture_output=True, env=env)
-        assert proc.returncode == 2
+               to_graph6(g)]
+        proc = subprocess.run(cmd, capture_output=True)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["graph6"] == to_graph6(g)
 
     def test_labeled_input_schema(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")

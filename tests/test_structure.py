@@ -6,8 +6,9 @@ from graphprod.graphs import (SimpleGraph, bits, complete_graph,
                               edgeless_graph, induced, is_clique, is_edgeless,
                               mask_of, path_graph, star, star_graph)
 from graphprod.iso import isomorphism
-from graphprod.structure import (collapse, collapsible_subgraphs,
-                                 domination_classes, has_separating_star,
+from graphprod.structure import (collapse, collapsible_subgraphs, dominates,
+                                 domination_classes, domination_pairs,
+                                 has_separating_star,
                                  internal_vertices, is_clique_reduced,
                                  is_collapsible, is_join, is_strongly_reduced,
                                  is_transvection_free, join_decomposition,
@@ -186,6 +187,32 @@ class TestTransvections:
     def test_k3_empty_sentinel(self):
         sub = untransvectable_subgraph(complete_graph(3))
         assert sub.n == 0 and sub.adj == ()
+
+    def test_matches_pairwise_domination(self):
+        # the relation is decided once per graph; compare every derived
+        # field with the pairwise definition
+        graphs = [g for n in range(1, 7) for g in enumerate_graphs(n).graphs]
+        graphs += [random_graph(12, p, seed=3, trial=t)
+                   for p in (0.3, 0.7) for t in range(5)]
+        for g in graphs:
+            dom = [[dominates(g, v, w) for w in range(g.n)] for v in range(g.n)]
+            pairs = [(v, w) for v in range(g.n) for w in range(g.n) if dom[v][w]]
+            untrans = mask_of(v for v in range(g.n) if not any(dom[v]))
+            cls_of = list(range(g.n))
+            for v in range(g.n):
+                for w in range(v):
+                    if dom[v][w] and dom[w][v]:
+                        cls_of[v] = cls_of[w]
+                        break
+            classes = {}
+            for v in range(g.n):
+                classes[cls_of[v]] = classes.get(cls_of[v], 0) | 1 << v
+            got_untrans, got_pairs, q = transvection_structure(g)
+            assert (got_untrans, got_pairs) == (untrans, pairs)
+            assert q.classes == tuple(classes.values())
+            assert domination_pairs(g) == pairs
+            assert untransvectable_vertices(g) == untrans
+            assert domination_classes(g).classes == q.classes
 
     def test_transvection_free_fixed_points(self):
         # transvection-free graphs are their own untransvectable subgraph and

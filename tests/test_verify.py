@@ -93,6 +93,17 @@ class TestSampler:
         g1 = random_graph(10, 0.5, seed=2, trial=0)
         assert g0.adj != g1.adj
 
+    def test_edges_follow_the_counter_hash(self):
+        # edge e of trial t is present iff splitmix(splitmix(splitmix(seed)
+        # ^ t) ^ e) < p * 2**64, edges numbered row by row
+        from graphprod.verify import _splitmix64 as mix
+        for seed, trial, p in ((1, 0, 0.5), (9, 5, 0.3), (2 ** 64 + 3, 17, 0.1)):
+            g = random_graph(12, p, seed=seed, trial=trial)
+            pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
+            key = mix(mix(seed % 2 ** 64) ^ trial)
+            assert [g.has_edge(i, j) for i, j in pairs] == \
+                [mix(key ^ e) < round(p * 2.0 ** 64) for e in range(len(pairs))]
+
     def test_trial_single_graph_reproducible(self):
         assert random_graph(12, 0.3, seed=9, trial=5).adj \
             == random_graph(12, 0.3, seed=9, trial=5).adj

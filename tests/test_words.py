@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphprod.graphs import (SimpleGraph, edgeless_graph, link, mask_of)
+from graphprod.errors import CapExceeded
+from graphprod.graphs import (SimpleGraph, complete_bipartite, complete_graph,
+                              cycle_graph, edgeless_graph, link, mask_of,
+                              path_graph, petersen_graph)
+from graphprod.verify import enumerate_graphs, enumerate_words_bfs, growth_series
 from graphprod.words import (enumerate_words, ends_with, invert,
                              link_of_word, multiply, parabolic_ball,
                              parabolic_intersection_check,
@@ -208,7 +212,6 @@ class TestEnumerate:
         assert len(enumerate_words(c5, 2).words) == 21
 
     def test_cap(self, free2):
-        from graphprod.errors import CapExceeded
         with pytest.raises(CapExceeded):
             enumerate_words(edgeless_graph(4), 12, cap=100)
 
@@ -216,6 +219,52 @@ class TestEnumerate:
         a = enumerate_words(c5, 4)
         b = enumerate_words(c5, 4)
         assert a.words == b.words
+
+
+NAMED_BALLS = [  # (graph, radius): the BFS oracle stays well under a second
+    (cycle_graph(5), 6), (cycle_graph(6), 6), (path_graph(5), 6),
+    (complete_bipartite(2, 3), 6), (petersen_graph(), 4), (edgeless_graph(3), 6),
+]
+
+
+def _ball_graphs():
+    for n in range(1, 6):
+        for g in enumerate_graphs(n).graphs:
+            yield g, 6
+    yield from NAMED_BALLS
+
+
+class TestShortLexWalk:
+    """The automaton walk against the Cayley-graph BFS it replaced and
+    against the closed-form growth series."""
+
+    def test_matches_bfs(self):
+        for g, radius in _ball_graphs():
+            e = enumerate_words(g, radius)
+            assert (e.words, e.strata) == enumerate_words_bfs(g, radius), g.adj
+
+    def test_parabolic_matches_restricted_bfs(self):
+        for g, radius in _ball_graphs():
+            radius = min(radius, 4 if g.n <= 6 else 3)  # all 2**n masks
+            for s in range(1 << g.n):
+                assert parabolic_ball(g, s, radius) == \
+                    enumerate_words_bfs(g, radius, letters=s)[0], (g.adj, s)
+
+    def test_strata_match_growth_series(self):
+        for g, radius in _ball_graphs():
+            assert enumerate_words(g, radius).strata == growth_series(g, radius)
+
+    def test_growth_series_examples(self):
+        assert growth_series(edgeless_graph(2), 4) == (1, 2, 2, 2, 2)
+        assert growth_series(complete_graph(3), 4) == (1, 3, 3, 1, 0)
+        assert growth_series(cycle_graph(5), 2) == (1, 5, 15)
+
+    def test_cap_is_exact(self):
+        for g, radius in NAMED_BALLS:
+            total = len(enumerate_words(g, radius).words)
+            with pytest.raises(CapExceeded):
+                enumerate_words(g, radius, cap=total - 1)
+            assert len(enumerate_words(g, radius, cap=total).words) == total
 
 
 class TestProductSets:
