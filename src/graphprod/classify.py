@@ -9,15 +9,20 @@ The theorems themselves (tagged A through F plus their corollaries) are the
 classification results for graph products of tracial von Neumann algebras
 over transvection-free / girth-5 style graph classes; only their graph and
 label-class hypotheses are evaluated here, never any analytic content.
+They are one table, :data:`HYPOTHESES` (theorem -> ordered condition tokens,
+each token with one test); graph tests read a :class:`GraphFacts` memo, so
+checking many theorems on one graph computes each invariant once.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
-from .graphs import (SimpleGraph, bits, components_induced, contains_square,
-                     girth, induced, min_degree)
+from .graphs import (SimpleGraph, bits, components, contains_square,
+                     from_json_obj, girth, induced, induced_or_empty,
+                     is_edgeless, min_degree, to_json_obj)
 from . import structure
 from .iso import AutGroup, automorphism_group, isomorphism, verify_isomorphism
 
@@ -116,16 +121,18 @@ class LabeledGraph:
         Colour ids are local to this graph; to compare two labeled graphs use
         :func:`labeled_isomorphism`, which shares one token table.
         """
-        if mode == "strict-class":
-            keys = [lab.class_id for lab in self.labels]
-        elif mode == "stable-class":
-            keys = [lab.stable_class_id for lab in self.labels]
-        elif mode == "wstar-class":
-            keys = [lab.wstar_class_id for lab in self.labels]
-        else:
-            raise ValueError(f"unknown label equivalence mode {mode!r}")
+        keys = _label_keys(self.labels, mode)
         table = {k: i for i, k in enumerate(sorted(set(keys)))}
         return tuple(table[k] for k in keys)
+
+
+def _label_keys(labels, mode: str) -> list[str]:
+    """Each label's class token under the label equivalence ``mode``."""
+    attr = {"strict-class": "class_id", "stable-class": "stable_class_id",
+            "wstar-class": "wstar_class_id"}.get(mode)
+    if attr is None:
+        raise ValueError(f"unknown label equivalence mode {mode!r}")
+    return [getattr(lab, attr) for lab in labels]
 
 
 def uniform_labeled(g: SimpleGraph, label: AlgebraLabel) -> LabeledGraph:
@@ -140,25 +147,14 @@ def labeled_isomorphism(a: LabeledGraph, b: LabeledGraph,
     Class tokens are matched through one shared table, so the same token
     means the same class on both sides.
     """
-    if label_eq == "strict-class":
-        keys_a = [lab.class_id for lab in a.labels]
-        keys_b = [lab.class_id for lab in b.labels]
-    elif label_eq == "stable-class":
-        keys_a = [lab.stable_class_id for lab in a.labels]
-        keys_b = [lab.stable_class_id for lab in b.labels]
-    elif label_eq == "wstar-class":
-        keys_a = [lab.wstar_class_id for lab in a.labels]
-        keys_b = [lab.wstar_class_id for lab in b.labels]
-    else:
-        raise ValueError(f"unknown label equivalence mode {label_eq!r}")
-    ca, cb = _joint_colors(keys_a, keys_b)
+    ca, cb = _joint_colors(_label_keys(a.labels, label_eq),
+                           _label_keys(b.labels, label_eq))
     return isomorphism(a.graph, b.graph, ca, cb)
 
 
 # -- JSON ---------------------------------------------------------------------
 
 def labeled_graph_from_json(obj) -> LabeledGraph:
-    from .graphs import from_json_obj
     g = from_json_obj(obj)
     raw = obj.get("labels")
     if not isinstance(raw, list) or len(raw) != g.n:
@@ -181,7 +177,6 @@ def labeled_graph_from_json(obj) -> LabeledGraph:
 
 
 def labeled_graph_to_json(lg: LabeledGraph) -> dict:
-    from .graphs import to_json_obj
     obj = to_json_obj(lg.graph)
     obj["labels"] = []
     for lab in lg.labels:
@@ -201,70 +196,117 @@ def labeled_graph_to_json(lg: LabeledGraph) -> dict:
 
 # -- hypothesis checks --------------------------------------------------------
 
-THEOREMS = ("A", "B", "B-general", "C", "D", "D-moreover", "E", "F",
-            "Cor-RAAG", "Cor-hyperfinite", "Cor-ICC")
+class GraphFacts:
+    """Lazy memo of one graph's invariants: ``facts(fn)`` is ``fn(facts.graph)``,
+    computed once however many tests, report fields or verdict steps read it."""
+
+    def __init__(self, graph: SimpleGraph):
+        self.graph = graph
+        self._memo: dict = {}
+
+    def __call__(self, fn):
+        if fn not in self._memo:
+            self._memo[fn] = fn(self.graph)
+        return self._memo[fn]
+
+    @cached_property
+    def components(self) -> list["GraphFacts"]:
+        """Facts of each connected component; ``[self]`` for a connected graph."""
+        comps = self(components)
+        return [self] if len(comps) == 1 else [
+            GraphFacts(induced(self.graph, c)[0]) for c in comps]
+
+    @cached_property
+    def untransvectable(self) -> "GraphFacts":
+        """Facts of the untransvectable subgraph; ``self`` if that is the whole graph."""
+        mask = self(structure.untransvectable_vertices)
+        return self if mask == self.graph.full_mask else GraphFacts(
+            induced_or_empty(self.graph, mask)[0])
 
 
-def check_hypotheses(lg: LabeledGraph, theorem: str) -> tuple[bool, list[str]]:
-    """Evaluate one theorem's graph and label hypotheses; list what fails."""
-    if theorem not in THEOREMS:
+def _transvection_free(f: GraphFacts) -> bool:
+    return f(structure.untransvectable_vertices) == f.graph.full_mask
+
+
+# one test per hypothesis token: a label token holds when every vertex label
+# passes its test, a graph token reads the graph's facts
+_LABEL_TESTS = {
+    "all-diffuse": lambda lab: lab.diffuse,
+    "all-amenable": lambda lab: lab.amenable,
+    "all-ii1-factors": lambda lab: lab.ii1_factor,
+    "raag-labels": lambda lab: lab.class_id == RAAG_CLASS,
+    "hyperfinite-labels": lambda lab: lab.class_id == HYPERFINITE_CLASS,
+    "icc-labels": lambda lab: lab.icc_group,
+}
+_GRAPH_TESTS = {
+    "transvection-free": _transvection_free,
+    "square-free": lambda f: not f(contains_square),
+    "not-single-vertex": lambda f: f.graph.n >= 2,
+    "at-least-2-vertices": lambda f: f.graph.n >= 2,
+    "clique-reduced": lambda f: f(structure.is_clique_reduced),
+    "untransvectable-subgraph-nonempty": lambda f: f.untransvectable.graph.n > 0,
+    # vacuous on an empty subgraph, which the token above already reports
+    "untransvectable-clique-reduced": lambda f: (
+        f.untransvectable.graph.n == 0
+        or f.untransvectable(structure.is_clique_reduced)),
+    "components-strongly-reduced":
+        lambda f: all(c(structure.is_strongly_reduced) for c in f.components),
+    "components-transvection-free":
+        lambda f: all(map(_transvection_free, f.components)),
+    "components-not-single-vertex":
+        lambda f: all(c.graph.n >= 2 for c in f.components),
+    "girth-at-least-5": lambda f: f(girth) >= 5,
+    "min-degree-at-least-2": lambda f: f(min_degree) >= 2,
+    "no-separating-star": lambda f: f(structure.has_separating_star) is None,
+    "empty-clique-factor": lambda f: f(structure.maximal_clique_factor) == 0,
+}
+
+# each theorem's hypotheses, in the order its unmet tokens are reported;
+# D-moreover adds one token to D's, and F shares D's
+_D = ("all-ii1-factors", "girth-at-least-5", "min-degree-at-least-2")
+HYPOTHESES = {
+    "A": ("all-diffuse", "transvection-free", "square-free", "not-single-vertex"),
+    "B": ("all-diffuse", "all-amenable", "transvection-free"),
+    "B-general": ("all-diffuse", "all-amenable", "clique-reduced",
+                  "untransvectable-subgraph-nonempty",
+                  "untransvectable-clique-reduced"),
+    "C": ("all-ii1-factors", "components-strongly-reduced",
+          "components-transvection-free", "components-not-single-vertex"),
+    "D": _D,
+    "D-moreover": _D + ("no-separating-star",),
+    "E": ("at-least-2-vertices", "empty-clique-factor", "all-diffuse"),
+    "F": _D,
+    "Cor-RAAG": ("raag-labels", "transvection-free"),
+    "Cor-hyperfinite": ("hyperfinite-labels", "transvection-free"),
+    "Cor-ICC": ("icc-labels", "girth-at-least-5", "min-degree-at-least-2"),
+}
+THEOREMS = tuple(HYPOTHESES)
+
+
+def graph_conditions(facts: GraphFacts) -> dict[str, bool]:
+    """The graph conditions ``graphprod analyze`` reports for an unlabeled graph."""
+    return {token: _GRAPH_TESTS[token](facts) for token in (
+        "transvection-free", "square-free", "girth-at-least-5",
+        "min-degree-at-least-2", "no-separating-star",
+        "components-strongly-reduced", "clique-reduced", "empty-clique-factor")}
+
+
+def _labels_meet(token: str, labels) -> bool:
+    return all(map(_LABEL_TESTS[token], labels))
+
+
+def check_hypotheses(lg: LabeledGraph, theorem: str,
+                     facts: GraphFacts | None = None) -> tuple[bool, list[str]]:
+    """Evaluate one theorem's graph and label hypotheses; list what fails.
+
+    Pass ``facts`` (of ``lg.graph``) to share invariants across checks.
+    """
+    if theorem not in HYPOTHESES:
         raise ValueError(f"unknown theorem token {theorem!r}")
-    g = lg.graph
-    labels = lg.labels
-    unmet: list[str] = []
-
-    def need(ok: bool, token: str):
-        if not ok:
-            unmet.append(token)
-
-    if theorem == "A":
-        need(all(lab.diffuse for lab in labels), "all-diffuse")
-        need(structure.is_transvection_free(g), "transvection-free")
-        need(not contains_square(g), "square-free")
-        need(g.n >= 2, "not-single-vertex")
-    elif theorem == "B":
-        need(all(lab.diffuse for lab in labels), "all-diffuse")
-        need(all(lab.amenable for lab in labels), "all-amenable")
-        need(structure.is_transvection_free(g), "transvection-free")
-    elif theorem == "B-general":
-        need(all(lab.diffuse for lab in labels), "all-diffuse")
-        need(all(lab.amenable for lab in labels), "all-amenable")
-        need(structure.is_clique_reduced(g), "clique-reduced")
-        u = structure.untransvectable_subgraph(g)
-        need(u.n >= 1, "untransvectable-subgraph-nonempty")
-        if u.n >= 1:
-            need(structure.is_clique_reduced(u), "untransvectable-clique-reduced")
-    elif theorem == "C":
-        need(all(lab.ii1_factor for lab in labels), "all-ii1-factors")
-        comps = components_induced(g)
-        need(all(structure.is_strongly_reduced(c) for c in comps),
-             "components-strongly-reduced")
-        need(all(structure.is_transvection_free(c) for c in comps),
-             "components-transvection-free")
-        need(all(c.n >= 2 for c in comps), "components-not-single-vertex")
-    elif theorem in ("D", "F"):
-        need(all(lab.ii1_factor for lab in labels), "all-ii1-factors")
-        need(girth(g) >= 5, "girth-at-least-5")
-        need(min_degree(g) >= 2, "min-degree-at-least-2")
-    elif theorem == "D-moreover":
-        ok, sub = check_hypotheses(lg, "D")
-        unmet.extend(sub)
-        need(structure.has_separating_star(g) is None, "no-separating-star")
-    elif theorem == "E":
-        need(g.n >= 2, "at-least-2-vertices")
-        need(structure.maximal_clique_factor(g) == 0, "empty-clique-factor")
-        need(all(lab.diffuse for lab in labels), "all-diffuse")
-    elif theorem == "Cor-RAAG":
-        need(all(lab.class_id == RAAG_CLASS for lab in labels), "raag-labels")
-        need(structure.is_transvection_free(g), "transvection-free")
-    elif theorem == "Cor-hyperfinite":
-        need(all(lab.class_id == HYPERFINITE_CLASS for lab in labels),
-             "hyperfinite-labels")
-        need(structure.is_transvection_free(g), "transvection-free")
-    elif theorem == "Cor-ICC":
-        need(all(lab.icc_group for lab in labels), "icc-labels")
-        need(girth(g) >= 5, "girth-at-least-5")
-        need(min_degree(g) >= 2, "min-degree-at-least-2")
+    facts = facts or GraphFacts(lg.graph)
+    unmet = [token for token in HYPOTHESES[theorem]
+             if not (_labels_meet(token, lg.labels) if token in _LABEL_TESTS
+                     else _GRAPH_TESTS[token](facts))]
     return (not unmet, unmet)
 
 
@@ -316,7 +358,7 @@ _PRECEDENCE = (
 )
 
 
-def _comparison_data(lg: LabeledGraph, theorem: str):
+def _comparison_data(lg: LabeledGraph, theorem: str, facts: GraphFacts):
     """(graph, per-vertex label keys, level) certified by the theorem.
 
     Keys are raw class tokens; :func:`classify` converts the two key lists to
@@ -325,18 +367,18 @@ def _comparison_data(lg: LabeledGraph, theorem: str):
     if theorem == "C":
         return lg.graph, [lab.stable_class_id for lab in lg.labels], "vertices"
     if theorem != "B-general" and (
-            theorem == "Cor-ICC" or all(lab.icc_group for lab in lg.labels)):
+            theorem == "Cor-ICC" or _labels_meet("icc-labels", lg.labels)):
         # for group labels, isomorphism of the vertex algebras is exactly
         # W*-equivalence of the groups
         return lg.graph, [lab.wstar_class_id for lab in lg.labels], "vertices"
     if theorem == "B-general":
-        umask = structure.untransvectable_vertices(lg.graph)
-        sub, old = induced(lg.graph, umask)
-        sub_labels = tuple(lg.labels[v] for v in old)
-        if all(lab.ii1_factor for lab in sub_labels):
+        sub = facts.untransvectable
+        sub_labels = tuple(lg.labels[v]
+                           for v in bits(facts(structure.untransvectable_vertices)))
+        if _labels_meet("all-ii1-factors", sub_labels):
             # factor labels certify the untransvectable subgraph itself
-            return sub, [lab.class_id for lab in sub_labels], "untransvectable"
-        q = structure.domination_classes(sub)
+            return sub.graph, [lab.class_id for lab in sub_labels], "untransvectable"
+        q = sub(structure.domination_classes)
         keys = [tuple(sorted(sub_labels[v].class_id for v in bits(m)))
                 for m in q.classes]
         return q.graph, keys, "equivalence-classes"
@@ -352,31 +394,29 @@ def _specialized_tag(theorem: str, a: LabeledGraph, b: LabeledGraph) -> str:
     """Rewrite an A/B-family certification to its corollary when the labels
     are uniformly the corollary's class."""
     if theorem in ("A", "B"):
-        all_labels = a.labels + b.labels
-        if all(lab.class_id == RAAG_CLASS for lab in all_labels):
-            return "Cor-RAAG"
-        if all(lab.class_id == HYPERFINITE_CLASS for lab in all_labels):
-            return "Cor-hyperfinite"
+        for corollary, token in (("Cor-RAAG", "raag-labels"),
+                                 ("Cor-hyperfinite", "hyperfinite-labels")):
+            if _labels_meet(token, a.labels + b.labels):
+                return corollary
     return f"Thm-{theorem}"
 
 
-def _radulescu(a: LabeledGraph, b: LabeledGraph) -> bool:
+def _radulescu(a: LabeledGraph, b: LabeledGraph, facts_a: GraphFacts,
+               facts_b: GraphFacts) -> bool:
     """Free-abelian labels on complete bipartite graphs K_{m,m'} and K_{n,n'}
     are equivalent whenever (m-1)(m'-1) == (n-1)(n'-1).
 
     Restricted to genuinely different side-size pairs: for matching graphs
     the tool never upgrades to EquivalentKnown.
     """
-    def bipartite_sides(lg: LabeledGraph) -> tuple[int, int] | None:
-        if not all(lab.class_id == RAAG_CLASS for lab in lg.labels):
-            return None
+    def bipartite_sides(lg: LabeledGraph,
+                        facts: GraphFacts) -> tuple[int, int] | None:
         g = lg.graph
-        if g.n < 4:
+        if g.n < 4 or not _labels_meet("raag-labels", lg.labels):
             return None
-        jd = structure.join_decomposition(g)
+        jd = facts(structure.join_decomposition)
         if jd.clique_factor or len(jd.parts) != 2:
             return None
-        from .graphs import is_edgeless
         if not all(is_edgeless(g, p) for p in jd.parts):
             return None
         m, mp = sorted(p.bit_count() for p in jd.parts)
@@ -384,7 +424,7 @@ def _radulescu(a: LabeledGraph, b: LabeledGraph) -> bool:
             return None
         return m, mp
 
-    pa, pb = bipartite_sides(a), bipartite_sides(b)
+    pa, pb = bipartite_sides(a, facts_a), bipartite_sides(b, facts_b)
     if pa is None or pb is None or pa == pb:
         return False
     return (pa[0] - 1) * (pa[1] - 1) == (pb[0] - 1) * (pb[1] - 1)
@@ -400,15 +440,17 @@ def classify(a: LabeledGraph, b: LabeledGraph) -> ClassificationVerdict:
     applicable theorem, a small knowledge base of known coincidences is
     consulted before returning ``Undecided``.
     """
+    facts_a = GraphFacts(a.graph)
+    facts_b = facts_a if b.graph == a.graph else GraphFacts(b.graph)
     unmet_all: list[str] = []
     for theorem, strength, note in _PRECEDENCE:
-        ok_a, unmet_a = check_hypotheses(a, theorem)
-        ok_b, unmet_b = check_hypotheses(b, theorem)
+        ok_a, unmet_a = check_hypotheses(a, theorem, facts_a)
+        ok_b, unmet_b = check_hypotheses(b, theorem, facts_b)
         if not (ok_a and ok_b):
             unmet_all.extend(f"{theorem}:{t}" for t in dict.fromkeys(unmet_a + unmet_b))
             continue
-        ga, keys_a, level = _comparison_data(a, theorem)
-        gb, keys_b, _ = _comparison_data(b, theorem)
+        ga, keys_a, level = _comparison_data(a, theorem, facts_a)
+        gb, keys_b, _ = _comparison_data(b, theorem, facts_b)
         ca, cb = _joint_colors(keys_a, keys_b)
         witness = isomorphism(ga, gb, ca, cb)
         tag = _specialized_tag(theorem, a, b)
@@ -422,7 +464,7 @@ def classify(a: LabeledGraph, b: LabeledGraph) -> ClassificationVerdict:
         assert isomorphism(gb, ga, cb, ca) is None
         return ClassificationVerdict("DistinctCertified", tag, None, level,
                                      strength, amplification_note=note)
-    if _radulescu(a, b):
+    if _radulescu(a, b, facts_a, facts_b):
         return ClassificationVerdict("EquivalentKnown", "Radulescu")
     seen = tuple(dict.fromkeys(unmet_all))
     return ClassificationVerdict("Undecided", "none", unmet=seen)
@@ -464,24 +506,22 @@ class OutDescriptor:
 
 def symmetry(lg: LabeledGraph) -> OutDescriptor:
     summands = tuple(f"Aut({lab.class_id})" for lab in lg.labels)
-    triv = check_hypotheses(lg, "D")[0]
-    certified = check_hypotheses(lg, "D-moreover")[0]
+    facts = GraphFacts(lg.graph)
+    triv = check_hypotheses(lg, "D", facts)[0]
+    certified = check_hypotheses(lg, "D-moreover", facts)[0]
     if not certified:
         return OutDescriptor(summands, triv, False,
                              amplification_note="t=1 forced" if triv else None)
     acting = automorphism_group(lg.graph, colors=lg.color_ids("strict-class"))
-    wreath = None
-    if len({lab.class_id for lab in lg.labels}) == 1:
-        wreath = f"Aut({lg.labels[0].class_id}) wr Aut(graph)"
+    wreath = (f"Aut({lg.labels[0].class_id}) wr Aut(graph)"
+              if len({lab.class_id for lab in lg.labels}) == 1 else None)
     return OutDescriptor(summands, triv, True, acting, acting.orbits,
                          "t=1 forced", wreath)
 
 
 def prime_factorization_structure(lg: LabeledGraph):
     """Join parts of the graph plus whether unique prime factorization is certified."""
-    parts = structure.join_decomposition(lg.graph)
-    certified = check_hypotheses(lg, "E")[0]
-    return parts, certified
+    return structure.join_decomposition(lg.graph), check_hypotheses(lg, "E")[0]
 
 
 # -- rigidity obstructions -------------------------------------------------------
@@ -505,25 +545,20 @@ class ObstructionWitness:
 def rigidity_obstructions(lg: LabeledGraph) -> list[ObstructionWitness]:
     g = lg.graph
     out = []
-    for v in range(g.n):
-        for w in range(g.n):
-            if not structure.dominates(g, v, w):
-                continue
-            lab_v, lab_w = lg.labels[v], lg.labels[w]
-            adjacent = g.has_edge(v, w)
-            cond = None
-            if lab_v.class_id == RAAG_CLASS and lab_w.class_id == RAAG_CLASS:
-                cond = "abelian-pair" if adjacent else "artin-transvection"
-            elif adjacent:
-                if ("crossed_product_infinite_abelian_quotient" in lab_v.capabilities
-                        and "diffuse_center" in lab_w.capabilities):
-                    cond = "central-quotient"
-            else:
-                if lab_v.class_id == RAAG_CLASS and lab_w.diffuse:
-                    cond = "free-product-nonadjacent"
-                elif ("free_product_split" in lab_v.capabilities
-                        and "trace_zero_unitary" in lab_w.capabilities):
-                    cond = "free-product-nonadjacent"
-            if cond is not None:
-                out.append(ObstructionWitness(v, w, cond))
+    for v, w in structure.domination_pairs(g):
+        lab_v, lab_w = lg.labels[v], lg.labels[w]
+        adjacent = g.has_edge(v, w)
+        cond = None
+        if lab_v.class_id == RAAG_CLASS and lab_w.class_id == RAAG_CLASS:
+            cond = "abelian-pair" if adjacent else "artin-transvection"
+        elif adjacent:
+            if ("crossed_product_infinite_abelian_quotient" in lab_v.capabilities
+                    and "diffuse_center" in lab_w.capabilities):
+                cond = "central-quotient"
+        elif ((lab_v.class_id == RAAG_CLASS and lab_w.diffuse)
+              or ("free_product_split" in lab_v.capabilities
+                  and "trace_zero_unitary" in lab_w.capabilities)):
+            cond = "free-product-nonadjacent"
+        if cond is not None:
+            out.append(ObstructionWitness(v, w, cond))
     return out

@@ -6,11 +6,14 @@ Exit codes: 0 success; 1 Undecided under --require-decision; 2 input error;
 3 enumeration cap exceeded; 4 oracle disagreement (a fast path and its
 brute-force oracle gave different answers, which indicates a bug).
 
-analyze takes polynomial time per reported set (its graph6 field limits it
-to n <= 62), but its module and maximal-join lists are output-sensitive: an
-edgeless part of k vertices has 2^k modules, and a dense G(40, 0.5) draw has
-thousands of maximal joins.  verify sweeps whole isomorphism catalogs, so it
-stops at n = 8.
+analyze accepts n <= 64.  Its module list costs polynomial time per module
+(an edgeless part of k vertices has 2^k), its maximal-join list polynomial
+time per closed set of perp(perp(.)), which can far outnumber the joins: the
+cocktail-party graph CP(14) with a pendant vertex on one end of each non-edge
+(n = 42) has 15 maximal joins and 16,412 closed sets.  Its theorem matrix and
+graph conditions come from the hypothesis table in :mod:`graphprod.classify`,
+over one memo of the graph's invariants.  verify sweeps whole isomorphism
+catalogs, so it stops at n = 8.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ import math
 import sys
 
 from . import structure, verify, words
-from .classify import (THEOREMS, LabeledGraph, check_hypotheses, classify,
-                       labeled_graph_from_json, labeled_isomorphism)
+from .classify import (THEOREMS, GraphFacts, LabeledGraph, check_hypotheses,
+                       classify, graph_conditions, labeled_graph_from_json,
+                       labeled_isomorphism)
 from .errors import CapExceeded, OracleDisagreement
-from .graphs import (SimpleGraph, bits, components, components_induced,
-                     contains_square, from_graph6, from_json_obj, girth,
-                     min_degree, to_graph6)
+from .graphs import (SimpleGraph, bits, components, contains_square,
+                     from_graph6, from_json_obj, girth, min_degree, to_graph6)
 from .iso import isomorphism, verify_isomorphism
 
 
@@ -86,19 +89,6 @@ def _to_dot(g: SimpleGraph) -> str:
     return "\n".join(lines)
 
 
-def _girth_json(g: SimpleGraph):
-    value = girth(g)
-    return None if value is math.inf else int(value)
-
-
-def _theorem_matrix(lg: LabeledGraph) -> dict:
-    out = {}
-    for theorem in THEOREMS:
-        ok, unmet = check_hypotheses(lg, theorem)
-        out[theorem] = {"ok": ok, "unmet": unmet}
-    return out
-
-
 def cmd_analyze(args) -> int:
     if args.labels:
         lg = _load_labeled(args.labels)
@@ -109,47 +99,43 @@ def cmd_analyze(args) -> int:
     if args.dot:
         sys.stdout.write(_to_dot(g) + "\n")
         return 0
+    facts = GraphFacts(g)
     untrans, leq_pairs, quotient = structure.transvection_structure(g)
     jd = structure.join_decomposition(g)
+    comps = facts(components)
     report = {
         "n": g.n,
         "edges": [[v, w] for v, w in g.edges()],
         "graph6": to_graph6(g),
-        "girth": _girth_json(g),
-        "min_degree": min_degree(g),
-        "connected": len(components(g)) == 1,
-        "components": [sorted(bits(c)) for c in components(g)],
-        "contains_square": contains_square(g),
-        "maximal_clique_factor": sorted(bits(structure.maximal_clique_factor(g))),
+        "girth": None if facts(girth) == math.inf else facts(girth),
+        "min_degree": facts(min_degree),
+        "connected": len(comps) == 1,
+        "components": [sorted(bits(c)) for c in comps],
+        "contains_square": facts(contains_square),
+        "maximal_clique_factor":
+            sorted(bits(facts(structure.maximal_clique_factor))),
         "join_parts": [sorted(bits(p)) for p in jd.parts],
         "maximal_join_subgraphs":
             [sorted(bits(s)) for s in structure.maximal_join_subgraphs(g)],
         "collapsible_min2":
             [sorted(bits(s)) for s in structure.collapsible_subgraphs(g, 2)],
-        "strongly_reduced": structure.is_strongly_reduced(g),
-        "clique_reduced": structure.is_clique_reduced(g),
+        "strongly_reduced": facts(structure.is_strongly_reduced),
+        "clique_reduced": facts(structure.is_clique_reduced),
         "transvection_free": untrans == g.full_mask,
         "untransvectable_vertices": sorted(bits(untrans)),
         "domination_pairs": [list(p) for p in leq_pairs],
         "domination_classes": [sorted(bits(m)) for m in quotient.classes],
         "class_graph_edges": [[i, j] for i, j in quotient.graph.edges()],
         "internal_vertices": sorted(bits(structure.internal_vertices(g))),
-        "separating_star": structure.has_separating_star(g),
+        "separating_star": facts(structure.has_separating_star),
     }
     if lg is not None:
-        report["theorems"] = _theorem_matrix(lg)
+        report["theorems"] = {}
+        for theorem in THEOREMS:
+            ok, unmet = check_hypotheses(lg, theorem, facts)
+            report["theorems"][theorem] = {"ok": ok, "unmet": unmet}
     else:
-        report["graph_conditions"] = {
-            "transvection-free": untrans == g.full_mask,
-            "square-free": not contains_square(g),
-            "girth-at-least-5": girth(g) >= 5,
-            "min-degree-at-least-2": min_degree(g) >= 2,
-            "no-separating-star": structure.has_separating_star(g) is None,
-            "components-strongly-reduced": all(
-                structure.is_strongly_reduced(c) for c in components_induced(g)),
-            "clique-reduced": structure.is_clique_reduced(g),
-            "empty-clique-factor": structure.maximal_clique_factor(g) == 0,
-        }
+        report["graph_conditions"] = graph_conditions(facts)
     _emit(report)
     return 0
 
@@ -182,40 +168,30 @@ def cmd_words(args) -> int:
     g = _load_graph(args)
     op = args.operation
     out: dict = {"operation": op}
-    if op == "reduce":
+    if op not in ("enumerate", "intersection"):
         w = words.reduce_word(g, _parse_letters(args.letters))
-        out.update(word=list(w.letters), length=len(w))
-        text = f"[{' '.join(map(str, w.letters))}] length {len(w)}"
-    elif op == "multiply":
-        w = words.multiply(words.reduce_word(g, _parse_letters(args.letters)),
-                           words.reduce_word(g, _parse_letters((args.with_word or "").split())))
-        out.update(word=list(w.letters), length=len(w))
-        text = f"[{' '.join(map(str, w.letters))}] length {len(w)}"
-    elif op == "invert":
-        w = words.invert(words.reduce_word(g, _parse_letters(args.letters)))
+    if op in ("reduce", "multiply", "invert"):
+        if op == "multiply":
+            w = words.multiply(w, words.reduce_word(
+                g, _parse_letters((args.with_word or "").split())))
+        elif op == "invert":
+            w = words.invert(w)
         out.update(word=list(w.letters), length=len(w))
         text = f"[{' '.join(map(str, w.letters))}] length {len(w)}"
     elif op == "support":
-        w = words.reduce_word(g, _parse_letters(args.letters))
         sup, st, en, lk = words.support_and_boundary(w)
         out.update(word=list(w.letters), support=sorted(bits(sup)),
                    starts_with=sorted(bits(st)), ends_with=sorted(bits(en)),
                    link=sorted(bits(lk)))
         text = (f"support {sorted(bits(sup))} starts {sorted(bits(st))} "
                 f"ends {sorted(bits(en))} link {sorted(bits(lk))}")
-    elif op == "member":
-        w = words.reduce_word(g, _parse_letters(args.letters))
-        member = words.parabolic_membership(w, _parse_set(args.set or ""))
-        out.update(word=list(w.letters), member=member)
-        text = "member" if member else "not member"
-    elif op == "product":
-        w = words.reduce_word(g, _parse_letters(args.letters))
-        factors = [_parse_set(part) for part in (args.sets or "").split(";")]
-        member = words.product_set_membership(w, factors)
+    elif op in ("member", "product"):
+        member = (words.parabolic_membership(w, _parse_set(args.set or ""))
+                  if op == "member" else words.product_set_membership(
+                      w, [_parse_set(part) for part in (args.sets or "").split(";")]))
         out.update(word=list(w.letters), member=member)
         text = "member" if member else "not member"
     elif op == "split":
-        w = words.reduce_word(g, _parse_letters(args.letters))
         d = words.split_lcr(w, _parse_set(args.left or ""),
                             _parse_set(args.right or ""))
         out.update(left=list(d.left.letters), core=list(d.core.letters),

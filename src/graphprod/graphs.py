@@ -6,8 +6,9 @@ Adjacency is stored as one mask per vertex.  Graphs are immutable and hashable;
 vertex order is part of graph identity (isomorphism-invariant comparisons live
 in :mod:`graphprod.iso`).
 
-Supported external formats: header-less graph6 strings (n <= 62) and the
-edge-list JSON object ``{"n": int, "edges": [[i, j], ...]}``.
+Supported external formats: graph6 strings (n <= 64; n = 63 and 64 use the
+long size header, byte 126 followed by three 6-bit bytes) and the edge-list
+JSON object ``{"n": int, "edges": [[i, j], ...]}``.
 """
 
 from __future__ import annotations
@@ -87,9 +88,6 @@ class SimpleGraph:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):
@@ -343,30 +341,36 @@ def disjoint_union(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
 # -- graph6 ----------------------------------------------------------------
 
 def from_graph6(text: str) -> SimpleGraph:
-    """Parse a header-less small-graph graph6 string (n <= 62)."""
+    """Parse a graph6 string (n <= 64), with or without the ``>>graph6<<`` header."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
         raise ValueError("empty graph6 string (byte offset 0)")
     data = s.encode("ascii", errors="replace")
-    if not 63 <= data[0] <= 125:
-        raise ValueError(f"invalid graph6 byte {data[0]!r} at offset 0")
-    n = data[0] - 63
-    if n == 0:
-        raise ValueError("graph6 with zero vertices is not supported (byte offset 0)")
-    if n > 62:
-        raise ValueError("graph6 vertex counts above 62 are not supported")
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
-    if len(data) - 1 != need:
-        raise ValueError(
-            f"graph6 body has {len(data) - 1} bytes, expected {need} "
-            f"(byte offset {min(len(data), need + 1)})")
-    stream = 0
-    for k, byte in enumerate(data[1:], start=1):
+    for k, byte in enumerate(data):
         if not 63 <= byte <= 126:
             raise ValueError(f"invalid graph6 byte {byte!r} at offset {k}")
+    # the size is byte n + 63 for n <= 62, else byte 126 and then n in three
+    # 6-bit bytes (McKay's formats.txt)
+    head = 4 if data[0] == 126 else 1
+    if len(data) < head:
+        raise ValueError(f"graph6 size header cut short (byte offset {len(data)})")
+    n = 0
+    for byte in data[1:4] if head == 4 else data[:1]:
+        n = n << 6 | byte - 63
+    if n == 0:
+        raise ValueError("graph6 with zero vertices is not supported (byte offset 0)")
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph6 vertex counts above {MAX_VERTICES} are not supported")
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(data) - head != need:
+        raise ValueError(
+            f"graph6 body has {len(data) - head} bytes, expected {need} "
+            f"(byte offset {min(len(data), need + head)})")
+    stream = 0
+    for byte in data[head:]:
         stream = stream << 6 | (byte - 63)
     pad = 6 * need - nbits
     if stream & ((1 << pad) - 1):
@@ -385,8 +389,9 @@ def from_graph6(text: str) -> SimpleGraph:
 
 
 def to_graph6(g: SimpleGraph) -> str:
-    if not 1 <= g.n <= 62:
-        raise ValueError("graph6 output requires 1 <= n <= 62")
+    """graph6 string of ``g``; n = 63 and 64 get the long size header."""
+    if not 1 <= g.n <= MAX_VERTICES:
+        raise ValueError(f"graph6 output requires 1 <= n <= {MAX_VERTICES}")
     stream = 0
     nbits = g.n * (g.n - 1) // 2
     for j in range(1, g.n):
@@ -394,7 +399,9 @@ def to_graph6(g: SimpleGraph) -> str:
             stream = stream << 1 | (g.adj[i] >> j & 1)
     pad = (6 - nbits % 6) % 6
     stream <<= pad
-    out = [chr(g.n + 63)]
+    # 63 + 63 is byte 126, the long-form marker
+    size = [g.n] if g.n <= 62 else [63, g.n >> 12, g.n >> 6 & 63, g.n & 63]
+    out = [chr(x + 63) for x in size]
     for k in range(((nbits + 5) // 6) - 1, -1, -1):
         out.append(chr((stream >> 6 * k & 63) + 63))
     return "".join(out)

@@ -205,8 +205,7 @@ def _con_class_shapes(g: SimpleGraph) -> bool:
 
 
 def _hyp_stars(g: SimpleGraph) -> bool:
-    return (g.n >= 2 and structure.is_transvection_free(g)
-            and not contains_square(g))
+    return g.n >= 2 and _hyp_tf_square_free(g)
 
 
 def _con_stars(g: SimpleGraph) -> bool:
@@ -548,9 +547,6 @@ class WordOracle:
     def equal(self, u, v) -> bool:
         return self.canon(u) == self.canon(v)
 
-    def length(self, letters) -> int:
-        return len(self.reduced_word(letters))
-
     # - the ball table -
 
     def _build(self):
@@ -578,9 +574,6 @@ class WordOracle:
         self.strata = [0] * (self.max_len + 1)
         for w in self.words:
             self.strata[len(w)] += 1
-
-    def ball_keys(self) -> frozenset:
-        return frozenset(self.words)
 
     # - subgroup and product-set enumeration (table-free) -
 

@@ -29,11 +29,10 @@ letter), so the walk reaches each element once, with no deduplication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, OracleDisagreement
-from .graphs import SimpleGraph, bits, link
+from .graphs import SimpleGraph, bits, mask_of, perp
 
 Letters = tuple[int, ...]
 
@@ -140,10 +139,7 @@ def invert(a: CoxeterWord) -> CoxeterWord:
 
 
 def support(w: CoxeterWord) -> int:
-    out = 0
-    for c in w.letters:
-        out |= 1 << c
-    return out
+    return mask_of(w.letters)
 
 
 def starts_with(w: CoxeterWord) -> int:
@@ -158,10 +154,7 @@ def ends_with(w: CoxeterWord) -> int:
 
 def link_of_word(w: CoxeterWord) -> int:
     """Common link of the support; the empty word maps to all vertices."""
-    out = w.graph.full_mask
-    for v in bits(support(w)):
-        out &= link(w.graph, v)
-    return out
+    return perp(w.graph, support(w))
 
 
 def support_and_boundary(w: CoxeterWord) -> tuple[int, int, int, int]:
@@ -191,10 +184,6 @@ class Enumeration:
     max_len: int
     words: tuple[Letters, ...]
     strata: tuple[int, ...]
-
-    @property
-    def index(self) -> dict[Letters, int]:
-        return {w: i for i, w in enumerate(self.words)}
 
 
 def _shortlex_ball(graph: SimpleGraph, letters: int, max_len: int,
@@ -252,16 +241,11 @@ def enumerate_words(graph: SimpleGraph, max_len: int,
     return Enumeration(graph, max_len, words, strata)
 
 
-@lru_cache(maxsize=256)
-def _parabolic_ball(graph: SimpleGraph, s: int, max_len: int) -> tuple[Letters, ...]:
-    """Normal forms of all elements of the parabolic on ``s`` with length <= max_len."""
-    return _shortlex_ball(graph, s, max_len, None)[0]
-
-
 def parabolic_ball(graph: SimpleGraph, s: int, max_len: int) -> tuple[Letters, ...]:
+    """Normal forms of all elements of the parabolic on ``s`` with length <= max_len."""
     if s & ~graph.full_mask:
         raise ValueError("vertex set has bits outside the graph")
-    return _parabolic_ball(graph, s, max_len)
+    return _shortlex_ball(graph, s, max_len, None)[0]
 
 
 def _is_geodesic_prefix(x: CoxeterWord, w: CoxeterWord) -> bool:
@@ -381,11 +365,11 @@ def parabolic_intersection_check(graph: SimpleGraph, s: int, t: int,
     """Verify W_s intersect W_t == W_(s&t) on all elements of length <= max_len.
 
     Enumerates the three parabolic balls by normal form and compares sets.
+    Raises :class:`CapExceeded` if any of the balls has more than ``cap``
+    elements, before that ball's oversized layer is built.
     """
-    ball_s = set(parabolic_ball(graph, s, max_len))
-    if len(ball_s) > cap:
-        raise CapExceeded("parabolic ball exceeded cap")
-    ball_t = set(parabolic_ball(graph, t, max_len))
-    ball_meet = set(parabolic_ball(graph, s & t, max_len))
-    small, big = (ball_s, ball_t) if len(ball_s) <= len(ball_t) else (ball_t, ball_s)
-    return {x for x in small if x in big} == ball_meet
+    if (s | t) & ~graph.full_mask:
+        raise ValueError("vertex set has bits outside the graph")
+    ball_s, ball_t, ball_meet = (set(_shortlex_ball(graph, m, max_len, cap)[0])
+                                 for m in (s, t, s & t))
+    return ball_s & ball_t == ball_meet

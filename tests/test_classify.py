@@ -1,20 +1,29 @@
+import collections
+import importlib
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
-from graphprod.classify import (LabeledGraph, check_hypotheses, classify,
-                                factor_label, hyperfinite_label, icc_label,
+from graphprod.classify import (THEOREMS, GraphFacts, LabeledGraph,
+                                check_hypotheses, classify, factor_label,
+                                graph_conditions, hyperfinite_label, icc_label,
                                 labeled_graph_from_json, labeled_graph_to_json,
                                 labeled_isomorphism, make_label,
                                 prime_factorization_structure, raag_label,
                                 rigidity_obstructions, symmetry,
                                 uniform_labeled)
-from graphprod.graphs import (SimpleGraph, complete_bipartite, cycle_graph,
-                              path_graph, star_graph)
+from graphprod.graphs import (SimpleGraph, complete_bipartite, complete_graph,
+                              components_induced, contains_square, cycle_graph,
+                              disjoint_union, from_graph6, girth, min_degree,
+                              path_graph, petersen_graph, star_graph)
 
 from graphprod.iso import automorphism_group, verify_isomorphism
-from graphprod.structure import is_transvection_free
+from graphprod.structure import (has_separating_star, is_clique_reduced,
+                                 is_strongly_reduced, is_transvection_free,
+                                 maximal_clique_factor)
+from graphprod.verify import enumerate_graphs
 
 
 def relabel(g, perm):
@@ -305,3 +314,144 @@ class TestLabeledIsomorphism:
         assert w is not None and verify_isomorphism(c6, c6, w)
         assert all(a.labels[v].class_id == b.labels[w[v]].class_id
                    for v in range(6))
+
+
+GOLDEN_GRAPHS = {
+    "C4": cycle_graph(4), "C5": cycle_graph(5), "P4": path_graph(4),
+    "K4": complete_graph(4), "Petersen": petersen_graph(),
+    "K1": SimpleGraph(1, (0,)),
+    "C5+P3": disjoint_union(cycle_graph(5), path_graph(3)),  # disconnected
+    "K2,3": complete_bipartite(2, 3),  # no untransvectable vertex
+    # the untransvectable vertices 0, 4, 5 span a triangle: not clique-reduced
+    "ECqg": from_graph6("ECqg"),
+}
+GOLDEN_LABELS = {"raag": raag_label(), "factor": factor_label("M"),
+                 "hyperfinite": hyperfinite_label(), "icc": icc_label("G")}
+
+
+class TestHypothesisTable:
+    def test_golden(self):
+        """Every theorem's (ok, unmet), tokens in order, as the if/elif
+        ladder that the table replaced reported them."""
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "hypotheses_golden.json").read_text())
+        assert len(golden) == len(GOLDEN_GRAPHS) * len(GOLDEN_LABELS)
+        for gname, g in GOLDEN_GRAPHS.items():
+            for lname, label in GOLDEN_LABELS.items():
+                expected = golden[f"{gname} {lname}"]
+                assert tuple(expected) == THEOREMS
+                lg = uniform_labeled(g, label)
+                for theorem, unmet in expected.items():
+                    assert check_hypotheses(lg, theorem) == (not unmet, unmet), \
+                        (gname, lname, theorem)
+
+    def test_graph_conditions_against_definitions(self):
+        for n in range(1, 6):
+            for g in enumerate_graphs(n).graphs:
+                assert graph_conditions(GraphFacts(g)) == {
+                    "transvection-free": is_transvection_free(g),
+                    "square-free": not contains_square(g),
+                    "girth-at-least-5": girth(g) >= 5,
+                    "min-degree-at-least-2": min_degree(g) >= 2,
+                    "no-separating-star": has_separating_star(g) is None,
+                    "components-strongly-reduced": all(
+                        is_strongly_reduced(c) for c in components_induced(g)),
+                    "clique-reduced": is_clique_reduced(g),
+                    "empty-clique-factor": maximal_clique_factor(g) == 0,
+                }, g.adj
+
+    def test_facts_memo(self, c5, c4):
+        facts = GraphFacts(c5)
+        assert facts(girth) == 5 and facts(girth) is facts(girth)
+        assert facts.components == [facts]
+        assert facts.untransvectable is facts
+        split = GraphFacts(disjoint_union(c5, c4))
+        assert [c.graph.adj for c in split.components] == [c5.adj, c4.adj]
+
+
+# invariants the hypothesis tests and the analyze report read, by module
+_INVARIANTS = {
+    "graphs": ("girth", "contains_square", "min_degree", "components"),
+    "structure": ("untransvectable_vertices", "transvection_structure",
+                  "is_transvection_free", "untransvectable_subgraph",
+                  "is_strongly_reduced", "is_clique_reduced",
+                  "has_separating_star", "maximal_clique_factor",
+                  "join_decomposition", "maximal_join_subgraphs",
+                  "collapsible_subgraphs", "internal_vertices",
+                  "domination_classes"),
+}
+
+
+@pytest.fixture
+def invariant_calls(monkeypatch):
+    """Counts calls of each invariant per distinct argument list.
+
+    A call made inside another counted invariant (``join_decomposition``
+    computing the clique factor, say) belongs to that invariant and is not
+    counted; what is counted is every request from the report, the theorem
+    checks and the classification loop.
+    """
+    mods = {name: importlib.import_module(f"graphprod.{name}")
+            for name in ("graphs", "structure", "classify", "cli")}
+    calls = collections.Counter()
+    depth = [0]
+    wrappers = {}
+    for modname, names in _INVARIANTS.items():
+        for name in names:
+            fn = getattr(mods[modname], name)
+
+            def counted(g, *args, _name=name, _fn=fn):
+                if depth[0] == 0:
+                    calls[(_name, g.n, g.adj) + args] += 1
+                depth[0] += 1
+                try:
+                    return _fn(g, *args)
+                finally:
+                    depth[0] -= 1
+            wrappers[id(fn)] = counted
+    for mod in mods.values():
+        for attr, val in list(vars(mod).items()):
+            if id(val) in wrappers:
+                monkeypatch.setattr(mod, attr, wrappers[id(val)])
+    return calls
+
+
+class TestInvariantsOnce:
+    GRAPHS = (cycle_graph(5), petersen_graph(), path_graph(5),
+              complete_bipartite(2, 3), disjoint_union(cycle_graph(5), path_graph(3)))
+
+    @staticmethod
+    def assert_once(calls):
+        assert calls, "nothing was counted"
+        repeated = {k[:2]: v for k, v in calls.items() if v > 1}
+        assert not repeated, repeated
+
+    def test_analyze_labels(self, invariant_calls, tmp_path, capsys):
+        from graphprod.cli import main
+        for g in self.GRAPHS:
+            for label in GOLDEN_LABELS.values():
+                path = tmp_path / "lg.json"
+                path.write_text(json.dumps(
+                    labeled_graph_to_json(uniform_labeled(g, label))))
+                assert main(["analyze", "--labels", str(path)]) == 0
+                capsys.readouterr()
+                self.assert_once(invariant_calls)
+                invariant_calls.clear()
+
+    def test_classify(self, invariant_calls):
+        # equal graphs on both sides share one memo; otherwise each side has
+        # its own, across the whole precedence loop
+        for g in self.GRAPHS:
+            for label in GOLDEN_LABELS.values():
+                for other in (g, SimpleGraph(g.n, g.adj), cycle_graph(6)):
+                    classify(uniform_labeled(g, label),
+                             uniform_labeled(other, label))
+                    self.assert_once(invariant_calls)
+                    invariant_calls.clear()
+
+    def test_symmetry(self, invariant_calls):
+        for g in self.GRAPHS:
+            for label in GOLDEN_LABELS.values():
+                symmetry(uniform_labeled(g, label))
+                self.assert_once(invariant_calls)
+                invariant_calls.clear()

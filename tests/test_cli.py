@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from graphprod.classify import (labeled_graph_to_json, raag_label,
                                 uniform_labeled)
 from graphprod.cli import main
-from graphprod.graphs import cycle_graph, petersen_graph, to_graph6
+from graphprod.graphs import (cycle_graph, edgeless_graph, petersen_graph,
+                              to_graph6)
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -58,6 +60,19 @@ class TestAnalyze:
         code, out = run_cli(["analyze", "--graph6", to_graph6(cycle_graph(4)),
                              "--dot"], capsys)
         assert code == 0 and out.startswith("graph g {") and "0 -- 1;" in out
+
+    def test_64_vertices(self, capsys):
+        # n = 63 and 64 need graph6's long size header
+        from graphprod.graphs import from_graph6
+        from graphprod.verify import random_graph
+        for n in (63, 64):
+            g = random_graph(n, 0.1, 1)
+            start = time.perf_counter()
+            code, out = run_cli(["analyze", "--graph6", to_graph6(g)], capsys)
+            assert time.perf_counter() - start < 1.0
+            obj = json.loads(out)
+            assert code == 0 and obj["n"] == n
+            assert from_graph6(obj["graph6"]).adj == g.adj
 
     def test_girth_null_for_forest(self, capsys):
         from graphprod.graphs import path_graph
@@ -135,6 +150,17 @@ class TestWords:
         assert got.out == "" and got.err.startswith("cap exceeded")
         code, out = run_cli(argv + ["21"], capsys)
         assert code == 0 and out.startswith("21 elements")
+
+    def test_intersection_cap(self, capsys):
+        # the ball over all five letters of the edgeless graph is 27,306 long
+        argv = ["words", "--graph6", to_graph6(edgeless_graph(5)),
+                "intersection", "--left", "0", "--right", "0,1,2,3,4",
+                "--max-len", "7", "--cap"]
+        assert main(argv + ["1000"]) == 3
+        got = capsys.readouterr()
+        assert got.out == "" and got.err.startswith("cap exceeded")
+        code, out = run_cli(argv + ["27306"], capsys)
+        assert code == 0 and out.strip() == "holds"
 
     def test_bad_letters(self, capsys):
         code = main(["words", "--graph6", to_graph6(cycle_graph(5)),

@@ -185,6 +185,29 @@ class TestGraph6:
             back = from_graph6(nx.to_graph6_bytes(via_nx, header=False).decode().strip())
             assert back.adj == g.adj
 
+    def test_long_size_header(self):
+        nx = pytest.importorskip("networkx")
+        # McKay's formats.txt: n = 63 is byte 126 then 63 in three 6-bit bytes
+        for n, size in ((62, "}"), (63, "~??~"), (64, "~?@?")):
+            g = random_mask_graph(n, n)
+            text = to_graph6(g)
+            assert from_graph6(text).adj == g.adj
+            assert text.startswith(size) and len(text) == len(size) + (
+                n * (n - 1) // 2 + 5) // 6
+            via_nx = nx.from_graph6_bytes(text.encode())
+            assert sorted(via_nx.edges()) == sorted(g.edges())
+            assert nx.to_graph6_bytes(via_nx, header=False).decode().strip() == text
+
+    def test_long_size_header_limits(self):
+        with pytest.raises(ValueError, match="above 64"):
+            from_graph6("~?@@")  # n = 65
+        with pytest.raises(ValueError, match="offset 3"):
+            from_graph6("~??")
+        with pytest.raises(ValueError, match="offset 2"):
+            from_graph6("~?\x05~")
+        with pytest.raises(ValueError, match="1 <= n <= 64"):
+            to_graph6(SimpleGraph(0, ()))
+
     def test_header_accepted(self, c5):
         assert from_graph6(">>graph6<<" + to_graph6(c5)).adj == c5.adj
 

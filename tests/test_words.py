@@ -199,6 +199,19 @@ class TestParabolic:
         assert parabolic_intersection_check(c5, mask_of([0]), mask_of([0, 1, 2]), 6)
         assert parabolic_intersection_check(c5, mask_of([0]), mask_of([2, 3]), 6)
 
+    def test_intersection_cap_covers_both_sides(self):
+        # on the edgeless 5-vertex graph the ball over all letters has
+        # 1 + 5 * (4**7 - 1) / 3 = 27,306 elements of length <= 7, and the
+        # ball over {0} has 2: the cap must catch the large ball on either side
+        g = edgeless_graph(5)
+        small, full = mask_of([0]), g.full_mask
+        for s, t in ((small, full), (full, small)):
+            with pytest.raises(CapExceeded):
+                parabolic_intersection_check(g, s, t, 7, cap=1000)
+            with pytest.raises(CapExceeded):
+                parabolic_intersection_check(g, s, t, 7, cap=27_305)
+            assert parabolic_intersection_check(g, s, t, 7, cap=27_306)
+
 
 class TestEnumerate:
     def test_dihedral_strata(self, free2):
