@@ -219,13 +219,17 @@ class GraphFacts:
     @cached_property
     def untransvectable(self) -> "GraphFacts":
         """Facts of the untransvectable subgraph; ``self`` if that is the whole graph."""
-        mask = self(structure.untransvectable_vertices)
+        mask = _untransvectable(self)
         return self if mask == self.graph.full_mask else GraphFacts(
             induced_or_empty(self.graph, mask)[0])
 
 
+def _untransvectable(f: GraphFacts) -> int:
+    return f(structure.transvection_structure)[0]
+
+
 def _transvection_free(f: GraphFacts) -> bool:
-    return f(structure.untransvectable_vertices) == f.graph.full_mask
+    return _untransvectable(f) == f.graph.full_mask
 
 
 # one test per hypothesis token: a label token holds when every vertex label
@@ -374,11 +378,11 @@ def _comparison_data(lg: LabeledGraph, theorem: str, facts: GraphFacts):
     if theorem == "B-general":
         sub = facts.untransvectable
         sub_labels = tuple(lg.labels[v]
-                           for v in bits(facts(structure.untransvectable_vertices)))
+                           for v in bits(_untransvectable(facts)))
         if _labels_meet("all-ii1-factors", sub_labels):
             # factor labels certify the untransvectable subgraph itself
             return sub.graph, [lab.class_id for lab in sub_labels], "untransvectable"
-        q = sub(structure.domination_classes)
+        q = sub(structure.transvection_structure)[2]
         keys = [tuple(sorted(sub_labels[v].class_id for v in bits(m)))
                 for m in q.classes]
         return q.graph, keys, "equivalence-classes"

@@ -100,7 +100,7 @@ def cmd_analyze(args) -> int:
         sys.stdout.write(_to_dot(g) + "\n")
         return 0
     facts = GraphFacts(g)
-    untrans, leq_pairs, quotient = structure.transvection_structure(g)
+    untrans, leq_pairs, quotient = facts(structure.transvection_structure)
     jd = structure.join_decomposition(g)
     comps = facts(components)
     report = {

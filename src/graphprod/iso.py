@@ -5,7 +5,8 @@ iterated neighbourhood-signature refinement (colour ids assigned by sorting
 the signatures, so ids are isomorphism-invariant), then a backtracking search
 maps vertices in numeric order, pruning by colour and adjacency.  Candidates
 are explored in numeric vertex order, so witnesses are deterministic and the
-identity is found first on equal inputs.
+identity is found first on equal inputs.  Started from fixed prefixes, the
+same search yields a strong generating set of an automorphism group.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded
-from .graphs import SimpleGraph, bits, contains_triangle, girth, mask_of
+from .graphs import SimpleGraph, bits, girth, mask_of
 
 
 def _refine(adjs: list[tuple[int, ...]], colors: list[list[int]]) -> list[list[int]] | None:
@@ -39,13 +40,16 @@ def _refine(adjs: list[tuple[int, ...]], colors: list[list[int]]) -> list[list[i
 
 
 def _search(g: SimpleGraph, h: SimpleGraph, gcol: Sequence[int],
-            hcol: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Yield all colour-preserving isomorphisms g -> h in deterministic order."""
+            hcol: Sequence[int],
+            prefix: Sequence[int] = ()) -> Iterator[tuple[int, ...]]:
+    """Yield all colour-preserving isomorphisms g -> h in deterministic order,
+    extending ``prefix``, a colour- and adjacency-preserving map of the first
+    vertices."""
     n = g.n
     by_color: dict[int, list[int]] = {}
     for w in range(n):
         by_color.setdefault(hcol[w], []).append(w)
-    mapping = [-1] * n
+    mapping = list(prefix) + [-1] * (n - len(prefix))
 
     def rec(v: int, used: int) -> Iterator[tuple[int, ...]]:
         if v == n:
@@ -65,7 +69,7 @@ def _search(g: SimpleGraph, h: SimpleGraph, gcol: Sequence[int],
                 yield from rec(v + 1, used | 1 << w)
         mapping[v] = -1
 
-    yield from rec(0, 0)
+    yield from rec(len(prefix), mask_of(prefix))
 
 
 def invariant_screen(g: SimpleGraph, h: SimpleGraph) -> bool:
@@ -74,9 +78,8 @@ def invariant_screen(g: SimpleGraph, h: SimpleGraph) -> bool:
         return False
     if g.degree_sequence() != h.degree_sequence():
         return False
-    if girth(g) != girth(h):
-        return False
-    return contains_triangle(g) == contains_triangle(h)
+    # girth is 3 iff the graph has a triangle, so this decides that too
+    return girth(g) == girth(h)
 
 
 def _prepare_colors(g, h, g_colors, h_colors):
@@ -121,8 +124,9 @@ def verify_isomorphism(g: SimpleGraph, h: SimpleGraph,
 class AutGroup:
     """An automorphism group given by generators, with its exact order.
 
-    ``generators`` close (verified) to a group of size ``order``; ``orbits``
-    are the vertex orbit masks, ordered by smallest vertex.
+    ``generators`` are the lex-least strong generating set for the base
+    (0, ..., n-1), so ``order`` is the product of the basic orbit lengths;
+    ``orbits`` are the vertex orbit masks, ordered by smallest vertex.
     """
 
     generators: tuple[tuple[int, ...], ...]
@@ -130,35 +134,30 @@ class AutGroup:
     orbits: tuple[int, ...]
 
 
-def _compose(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(b[a[v]] for v in range(len(a)))
-
-
-def _closure(gens: list[tuple[int, ...]], n: int, cap: int) -> set[tuple[int, ...]]:
-    identity = tuple(range(n))
-    elems = {identity}
-    frontier = [identity]
+def _orbit(gens: Sequence[tuple[int, ...]], v: int) -> int:
+    """Mask of the orbit of ``v`` under the group the generators generate."""
+    orb = 1 << v
+    frontier = [v]
     while frontier:
-        nxt = []
-        for x in frontier:
-            for gen in gens:
-                y = _compose(x, gen)
-                if y not in elems:
-                    if len(elems) >= cap:
-                        raise CapExceeded("automorphism closure exceeded cap")
-                    elems.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return elems
+        w = frontier.pop()
+        for gen in gens:
+            x = gen[w]
+            if not orb >> x & 1:
+                orb |= 1 << x
+                frontier.append(x)
+    return orb
 
 
-def automorphism_group(g: SimpleGraph, colors: Sequence[int] | None = None,
-                       cap: int = 1_000_000) -> AutGroup:
+def automorphism_group(g: SimpleGraph,
+                       colors: Sequence[int] | None = None) -> AutGroup:
     """Exact automorphism group (optionally colour-preserving).
 
-    Enumerates all automorphisms by backtracking; raises
-    :class:`CapExceeded` past ``cap`` elements.  The generator list is a
-    small subset re-verified by closure.
+    Sims's strong generating set for the base (0, ..., n-1), read off the
+    backtracking search without listing the group: for each level j from
+    n-1 down to 0, and each w in increasing order outside the current orbit
+    of j, the lex-least automorphism fixing 0..j-1 and sending j to w is a
+    generator.  The order is the product of the basic orbit lengths.
+    Raises :class:`CapExceeded` for n > 16.
     """
     if g.n == 0:
         return AutGroup((), 1, ())
@@ -167,32 +166,25 @@ def automorphism_group(g: SimpleGraph, colors: Sequence[int] | None = None,
     refined = _prepare_colors(g, g, colors, colors)
     assert refined is not None
     gcol, hcol = refined
-    autos = []
-    for perm in _search(g, g, gcol, hcol):
-        autos.append(perm)
-        if len(autos) > cap:
-            raise CapExceeded("automorphism count exceeded cap")
     gens: list[tuple[int, ...]] = []
-    generated = {tuple(range(g.n))}
-    for perm in autos:
-        if perm not in generated:
-            gens.append(perm)
-            generated = _closure(gens, g.n, cap)
-    assert len(generated) == len(autos)
+    order = 1
+    for j in range(g.n - 1, -1, -1):
+        orbit = 1 << j
+        for w in range(j + 1, g.n):
+            # an automorphism fixing 0..j-1 sends j only to a vertex of j's
+            # colour with j's adjacency to 0..j-1
+            if orbit >> w & 1 or gcol[w] != gcol[j] \
+                    or (g.adj[w] ^ g.adj[j]) & ((1 << j) - 1):
+                continue
+            perm = next(_search(g, g, gcol, hcol, (*range(j), w)), None)
+            if perm is not None:
+                gens.append(perm)
+                orbit = _orbit(gens, j)
+        order *= orbit.bit_count()
     seen = 0
     orbits = []
     for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        orb = 1 << v
-        frontier = [v]
-        while frontier:
-            w = frontier.pop()
-            for gen in gens:
-                x = gen[w]
-                if not orb >> x & 1:
-                    orb |= 1 << x
-                    frontier.append(x)
-        orbits.append(orb)
-        seen |= orb
-    return AutGroup(tuple(gens), len(autos), tuple(orbits))
+        if not seen >> v & 1:
+            orbits.append(_orbit(gens, v))
+            seen |= orbits[-1]
+    return AutGroup(tuple(gens), order, tuple(orbits))

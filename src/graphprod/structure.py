@@ -264,10 +264,18 @@ def dominates(g: SimpleGraph, v: int, w: int) -> bool:
 
 
 def _domination_rows(g: SimpleGraph) -> list[int]:
-    """``rows[v]``: the vertices ``w`` with ``v <= w`` (see :func:`dominates`)."""
-    stars = [row | 1 << w for w, row in enumerate(g.adj)]
-    return [mask_of(w for w in range(g.n) if w != v and not lk & ~stars[w])
-            for v, lk in enumerate(g.adj)]
+    """``rows[v]``: the vertices ``w`` with ``v <= w`` (see :func:`dominates`).
+
+    ``lk(v)`` lies in ``st(w)`` iff ``w`` lies in ``st(u)`` for every ``u`` in
+    ``lk(v)``, so the row is the intersection of those stars, minus ``v``.
+    """
+    rows = []
+    for v, lk in enumerate(g.adj):
+        row = g.full_mask
+        for u in bits(lk):
+            row &= g.adj[u] | 1 << u
+        rows.append(row & ~(1 << v))
+    return rows
 
 
 def _pairs_from_rows(rows: list[int]) -> list[tuple[int, int]]:
@@ -295,29 +303,21 @@ def is_transvection_free(g: SimpleGraph) -> bool:
 def _quotient_from_rows(g: SimpleGraph, rows: list[int]) -> QuotientGraph:
     classes: list[int] = []
     cls_of = [-1] * g.n
-    assigned = 0
     for v in range(g.n):
-        if assigned >> v & 1:
-            continue
-        mutual = mask_of(w for w in bits(rows[v]) if rows[w] >> v & 1)
-        m = 1 << v | (mutual & ~assigned) >> (v + 1) << (v + 1)
-        idx = len(classes)
-        classes.append(m)
-        assigned |= m
-        for w in bits(m):
-            cls_of[w] = idx
-    k = len(classes)
-    rows_q = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            reps = [(v, w) for v in bits(classes[i]) for w in bits(classes[j])]
-            adj = [g.has_edge(v, w) for v, w in reps]
-            # adjacency between classes never depends on the representatives
-            assert all(adj) or not any(adj)
-            if adj[0]:
-                rows_q[i] |= 1 << j
-                rows_q[j] |= 1 << i
-    return QuotientGraph(tuple(classes), SimpleGraph(k, tuple(rows_q)),
+        if cls_of[v] < 0:
+            # mutual domination is an equivalence relation
+            m = 1 << v | mask_of(w for w in bits(rows[v]) if rows[w] >> v & 1)
+            for w in bits(m):
+                cls_of[w] = len(classes)
+            classes.append(m)
+    rows_q = []
+    for m in classes:
+        outside = g.adj[(m & -m).bit_length() - 1] & ~m
+        # classes are modules: adjacency between classes never depends on
+        # the representatives
+        assert all(g.adj[v] & ~m == outside for v in bits(m))
+        rows_q.append(mask_of(cls_of[w] for w in bits(outside)))
+    return QuotientGraph(tuple(classes), SimpleGraph(len(classes), tuple(rows_q)),
                          tuple(cls_of))
 
 

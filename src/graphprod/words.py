@@ -327,36 +327,37 @@ class WordDecomposition:
     right: CoxeterWord
 
 
+def _peel(nonadj: Sequence[int], word: Sequence[int],
+          s: int) -> tuple[list[int], list[int]]:
+    """Split a reduced word into the largest heap ideal with letters in ``s``
+    and the rest, in one scan: a letter of ``s`` that no kept letter blocks
+    commutes to the front and is dropped, every other letter is kept and
+    blocks the letters it does not commute with."""
+    ideal: list[int] = []
+    rest: list[int] = []
+    blocked = 0
+    for c in word:
+        if s >> c & 1 and not blocked >> c & 1:
+            ideal.append(c)
+        else:
+            rest.append(c)
+            blocked |= nonadj[c]
+    return ideal, rest
+
+
 def split_lcr(w: CoxeterWord, left_s: int, right_s: int) -> WordDecomposition:
     """Greedy maximal stripping of left/right parabolic letters.
 
-    Repeatedly removes the smallest-index strippable letter from the left
-    (then from the right); lengths add by construction.
+    Peels the largest prefix in ``W_left_s`` off the left, then the largest
+    suffix in ``W_right_s`` off what remains; lengths add by construction.
     """
     g = w.graph
     nonadj = g.nonadj
-    core = list(w.letters)
-    left: list[int] = []
-    while True:
-        avail = _initial_letters(nonadj, core) & left_s
-        if not avail:
-            break
-        a = (avail & -avail).bit_length() - 1
-        left.append(a)
-        # only the first occurrence can be free of earlier non-commuting
-        # letters (a blocks itself), so it is the movable one
-        del core[core.index(a)]
-    right_rev: list[int] = []
-    while True:
-        avail = _initial_letters(nonadj, tuple(reversed(core))) & right_s
-        if not avail:
-            break
-        a = (avail & -avail).bit_length() - 1
-        right_rev.append(a)
-        del core[len(core) - 1 - core[::-1].index(a)]
+    left, core = _peel(nonadj, w.letters, left_s)
+    right_rev, core_rev = _peel(nonadj, core[::-1], right_s)
     return WordDecomposition(
         CoxeterWord(g, _shortlex(nonadj, left)),
-        CoxeterWord(g, _shortlex(nonadj, core)),
+        CoxeterWord(g, _shortlex(nonadj, reversed(core_rev))),
         CoxeterWord(g, _shortlex(nonadj, reversed(right_rev))))
 
 

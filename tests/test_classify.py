@@ -17,7 +17,8 @@ from graphprod.classify import (THEOREMS, GraphFacts, LabeledGraph,
 from graphprod.graphs import (SimpleGraph, complete_bipartite, complete_graph,
                               components_induced, contains_square, cycle_graph,
                               disjoint_union, from_graph6, girth, min_degree,
-                              path_graph, petersen_graph, star_graph)
+                              path_graph, petersen_graph, star_graph,
+                              to_graph6)
 
 from graphprod.iso import automorphism_group, verify_isomorphism
 from graphprod.structure import (has_separating_star, is_clique_reduced,
@@ -378,8 +379,11 @@ _INVARIANTS = {
                   "has_separating_star", "maximal_clique_factor",
                   "join_decomposition", "maximal_join_subgraphs",
                   "collapsible_subgraphs", "internal_vertices",
-                  "domination_classes"),
+                  "domination_classes", "_domination_rows"),
 }
+# counted also when another counted invariant calls it: the domination rows
+# behind every transvection invariant are built once per graph
+_EVERY_DEPTH = ("_domination_rows",)
 
 
 @pytest.fixture
@@ -388,8 +392,9 @@ def invariant_calls(monkeypatch):
 
     A call made inside another counted invariant (``join_decomposition``
     computing the clique factor, say) belongs to that invariant and is not
-    counted; what is counted is every request from the report, the theorem
-    checks and the classification loop.
+    counted, except for the names in ``_EVERY_DEPTH``; what is counted is
+    every request from the report, the theorem checks and the classification
+    loop.
     """
     mods = {name: importlib.import_module(f"graphprod.{name}")
             for name in ("graphs", "structure", "classify", "cli")}
@@ -401,7 +406,7 @@ def invariant_calls(monkeypatch):
             fn = getattr(mods[modname], name)
 
             def counted(g, *args, _name=name, _fn=fn):
-                if depth[0] == 0:
+                if depth[0] == 0 or _name in _EVERY_DEPTH:
                     calls[(_name, g.n, g.adj) + args] += 1
                 depth[0] += 1
                 try:
@@ -425,6 +430,15 @@ class TestInvariantsOnce:
         assert calls, "nothing was counted"
         repeated = {k[:2]: v for k, v in calls.items() if v > 1}
         assert not repeated, repeated
+
+    def test_analyze(self, invariant_calls, capsys):
+        from graphprod.cli import main
+        for g in self.GRAPHS:
+            assert main(["analyze", "--graph6", to_graph6(g)]) == 0
+            capsys.readouterr()
+            self.assert_once(invariant_calls)
+            assert invariant_calls[("_domination_rows", g.n, g.adj)] == 1
+            invariant_calls.clear()
 
     def test_analyze_labels(self, invariant_calls, tmp_path, capsys):
         from graphprod.cli import main

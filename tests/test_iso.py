@@ -1,11 +1,15 @@
 import itertools
+import json
+import math
+import time
+from pathlib import Path
 
 import pytest
 
 from graphprod.errors import CapExceeded
 from graphprod.graphs import (SimpleGraph, bits, complete_bipartite,
-                              cycle_graph, edgeless_graph, mask_of, path_graph,
-                              star_graph)
+                              cycle_graph, edgeless_graph, from_graph6, mask_of,
+                              path_graph, star_graph)
 from graphprod.iso import (automorphism_group, invariant_screen, isomorphism,
                            verify_isomorphism)
 
@@ -141,6 +145,33 @@ class TestAutomorphismGroup:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            automorphism_group(edgeless_graph(10), cap=1000)
-        with pytest.raises(CapExceeded):
             automorphism_group(edgeless_graph(17))
+
+    def test_golden(self):
+        """Generators, order and orbits as the full listing with greedy
+        closure reported them: every graph with n <= 6, uncoloured and under
+        a seeded 2-colouring, plus Petersen, C12, K3,3 and GP(8,3)."""
+        path = Path(__file__).parent / "data" / "automorphism_golden.json"
+        cases = json.loads(path.read_text())["cases"]
+        assert len(cases) == 424
+        for case in cases:
+            aut = automorphism_group(from_graph6(case["graph6"]), case["colors"])
+            assert [list(p) for p in aut.generators] == case["generators"], case
+            assert aut.order == case["order"], case
+            assert list(aut.orbits) == case["orbits"], case
+
+    def test_order_is_group_size(self):
+        from graphprod.verify import _all_elements, enumerate_graphs
+        for n in range(1, 8):
+            for g in enumerate_graphs(n).graphs:
+                aut = automorphism_group(g)
+                assert aut.order == len(_all_elements(aut, n))
+
+    @pytest.mark.parametrize("g,order", [
+        (edgeless_graph(16), math.factorial(16)),
+        (complete_bipartite(8, 8), 2 * math.factorial(8) ** 2),
+    ])
+    def test_large_groups_without_listing(self, g, order):
+        start = time.perf_counter()
+        assert automorphism_group(g).order == order
+        assert time.perf_counter() - start < 1.0
