@@ -43,7 +43,7 @@ print("left/core/right split of [1,0,3] against ({1},{3}):",
       d.left.letters, d.core.letters, d.right.letters)
 
 factors = [link(c5, i) for i in range(1, 5)]
-oracle = WordOracle(c5, 6, build_table=False)
+oracle = WordOracle(c5, 6)
 hits = [letters for letters in parabolic_ball(c5, link(c5, 0), 6)
         if product_set_membership(reduce_word(c5, letters), factors,
                                   oracle=oracle)]

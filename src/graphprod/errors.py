@@ -8,7 +8,5 @@ class CapExceeded(RuntimeError):
 class OracleDisagreement(RuntimeError):
     """The fast engine and the brute-force oracle returned different answers.
 
-    This should never happen; it indicates a bug in one of the two routes
-    (or, for product-set membership, a failure of the geodesic-factorization
-    assumption that the engine relies on).
+    This should never happen; it indicates a bug in one of the two routes.
     """

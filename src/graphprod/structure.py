@@ -44,13 +44,11 @@ class QuotientGraph:
 
     ``classes[i]`` is the vertex mask of class ``i``; ``graph`` is the simple
     graph on classes (two classes adjacent iff their members are adjacent,
-    which is representative-independent); ``vertex_to_class[v]`` gives the
-    class index of ``v``.
+    which is representative-independent).
     """
 
     classes: tuple[int, ...]
     graph: SimpleGraph
-    vertex_to_class: tuple[int, ...]
 
 
 def maximal_clique_factor(g: SimpleGraph) -> int:
@@ -317,8 +315,7 @@ def _quotient_from_rows(g: SimpleGraph, rows: list[int]) -> QuotientGraph:
         # the representatives
         assert all(g.adj[v] & ~m == outside for v in bits(m))
         rows_q.append(mask_of(cls_of[w] for w in bits(outside)))
-    return QuotientGraph(tuple(classes), SimpleGraph(len(classes), tuple(rows_q)),
-                         tuple(cls_of))
+    return QuotientGraph(tuple(classes), SimpleGraph(len(classes), tuple(rows_q)))
 
 
 def domination_classes(g: SimpleGraph) -> QuotientGraph:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .errors import CapExceeded
 from .graphs import (SimpleGraph, bits, components, components_induced,
@@ -385,18 +385,16 @@ def random_graph(n: int, p: float, seed: int, trial: int = 0) -> SimpleGraph:
     return SimpleGraph(n, tuple(rows))
 
 
-def sample_er(n: int, p: float, trials: int, seed: int,
-              predicates=None) -> SampleReport:
+def sample_er(n: int, p: float, trials: int, seed: int) -> SampleReport:
     """Sample G(n, p) and count predicate hits; bit-reproducible per seed."""
     if not 0 < p < 1:
         raise ValueError("p must lie strictly between 0 and 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    preds = dict(predicates) if predicates is not None else dict(SAMPLE_PREDICATES)
-    counts = {name: 0 for name in preds}
+    counts = {name: 0 for name in SAMPLE_PREDICATES}
     for t in range(trials):
         g = random_graph(n, p, seed, t)
-        for name, fn in preds.items():
+        for name, fn in SAMPLE_PREDICATES.items():
             if fn(g):
                 counts[name] += 1
     return SampleReport(n, p, trials, seed,
@@ -489,19 +487,20 @@ class WordOracle:
     normal form of the reduced word: repeatedly extract the sorted block of
     letters with no earlier non-commuting letter.  The flattened block
     sequence is itself a reduced word and identifies the group element.
+
+    Balls are walked by heaps of pieces (Viennot 1986), stored as tuples of
+    Cartier-Foata blocks (letter masks): :meth:`_append` adds a letter by one
+    block update and never calls :meth:`canon`, so the two check each other.
+    Product membership is exact at any radius >= |w| (deletion condition).
     """
 
     def __init__(self, graph: SimpleGraph, max_len: int,
-                 cap: int = 10_000_000, build_table: bool = True):
+                 cap: int = 10_000_000):
         self.graph = graph
         self.max_len = max_len
         self.cap = cap
         self._nonadj = tuple(graph.full_mask & ~row for row in graph.adj)
         self._adj = graph.adj
-        if build_table:
-            self._build()
-        else:
-            self.words = None
 
     # - reduction -
 
@@ -547,77 +546,97 @@ class WordOracle:
     def equal(self, u, v) -> bool:
         return self.canon(u) == self.canon(v)
 
-    # - the ball table -
+    # - heaps of pieces -
 
-    def _build(self):
-        # single BFS pass: ids in discovery order are sorted by length, and
-        # each (element, letter) edge is canonicalized exactly once
-        n = self.graph.n
-        self.words: list[bytes] = [b""]
-        self.key_to_id: dict[bytes, int] = {b"": 0}
-        self.trans: list[list[int]] = [[-1] * n]
-        i = 0
-        while i < len(self.words):
-            w = self.words[i]
-            for a in range(n):
-                key = self.canon(tuple(w) + (a,))
-                j = self.key_to_id.get(key)
-                if j is None and len(key) <= self.max_len:
-                    if len(self.words) >= self.cap:
-                        raise CapExceeded("word oracle exceeded element cap")
-                    j = len(self.words)
-                    self.key_to_id[key] = j
-                    self.words.append(key)
-                    self.trans.append([-1] * n)
-                self.trans[i][a] = -1 if j is None else j
-            i += 1
-        self.strata = [0] * (self.max_len + 1)
-        for w in self.words:
-            self.strata[len(w)] += 1
+    def _append(self, heap: tuple, a: int) -> tuple:
+        """The heap times the letter ``a``.  ``a`` lands one block above the
+        highest block meeting ``nonadj[a]`` (``a`` included); if that block
+        holds ``a`` the two cancel.  No other piece moves, and a block can
+        empty only if it is the top one."""
+        conflict = self._nonadj[a]
+        j = len(heap) - 1
+        while j >= 0 and not heap[j] & conflict:
+            j -= 1
+        if j >= 0 and heap[j] >> a & 1:
+            block = heap[j] ^ 1 << a
+            return heap[:j] + (block,) + heap[j + 1:] if block else heap[:j]
+        if j + 1 == len(heap):
+            return heap + (1 << a,)
+        return heap[:j + 1] + (heap[j + 1] | 1 << a,) + heap[j + 2:]
 
-    # - subgroup and product-set enumeration (table-free) -
+    @staticmethod
+    def _key(heap: tuple) -> bytes:
+        """The :meth:`canon` key of a heap: its blocks, flattened."""
+        return bytes(c for block in heap for c in bits(block))
 
-    def subgroup_keys(self, s: int, max_len: int | None = None) -> frozenset:
-        """Keys of all parabolic-subgroup elements within the radius."""
-        radius = self.max_len if max_len is None else max_len
+    def _ball(self, s: int) -> tuple[list[tuple], list[list[int]]]:
+        """Heaps of the elements of W_s within the radius, in BFS order (so by
+        length), and ``trans[i][a]``: the index of heap ``i`` times ``a``, or
+        -1 past the radius or for ``a`` outside ``s``."""
         letters = list(bits(s))
-        seen = {b""}
-        frontier = [b""]
-        for _ in range(radius):
-            nxt = []
-            for w in frontier:
-                for a in letters:
-                    key = self.canon(tuple(w) + (a,))
-                    if len(key) > len(w) and key not in seen:
-                        if len(seen) >= self.cap:
-                            raise CapExceeded("oracle subgroup ball exceeded cap")
-                        seen.add(key)
-                        nxt.append(key)
-            frontier = nxt
-        return frozenset(seen)
+        heaps = [()]
+        index = {(): 0}
+        trans = []
+        for heap in heaps:  # grows while it is walked
+            row = [-1] * self.graph.n
+            room = sum(map(int.bit_count, heap)) < self.max_len
+            for a in letters:
+                nxt = self._append(heap, a)
+                j = index.get(nxt)
+                if j is None and room:  # a new element is one letter longer
+                    if len(heaps) >= self.cap:
+                        raise CapExceeded("word oracle ball exceeded cap")
+                    j = index[nxt] = len(heaps)
+                    heaps.append(nxt)
+                if j is not None:
+                    row[a] = j
+            trans.append(row)
+        return heaps, trans
 
-    def _product_keys(self, factor_masks) -> tuple[frozenset, list[bytes]]:
-        radius = self.max_len
-        acc: set[bytes] = {b""}
+    # - the ball table, built on first read -
+
+    @cached_property
+    def _table(self) -> tuple[list[bytes], list[list[int]], list[int]]:
+        heaps, trans = self._ball(self.graph.full_mask)
+        words = [self._key(h) for h in heaps]
+        strata = [0] * (self.max_len + 1)
+        for w in words:
+            strata[len(w)] += 1
+        return words, trans, strata
+
+    words = property(lambda self: self._table[0])
+    trans = property(lambda self: self._table[1])
+    strata = property(lambda self: self._table[2])
+
+    # - subgroup and product-set enumeration -
+
+    def subgroup_keys(self, s: int) -> frozenset:
+        """Keys of all parabolic-subgroup elements within the radius."""
+        return frozenset(self._key(h) for h in self._ball(s)[0])
+
+    def _product_keys(self, factor_masks) -> set[tuple]:
+        """Heaps of the product of the parabolics, truncated at the radius."""
+        acc: set[tuple] = {()}
         for s in factor_masks:
-            ball = self.subgroup_keys(s, radius)
-            new: set[bytes] = set()
+            ball = [self._key(h) for h in self._ball(s)[0]]
+            new: set[tuple] = set()
             for x in acc:
                 for y in ball:
-                    key = self.canon(tuple(x) + tuple(y))
-                    if len(key) <= radius:
-                        new.add(key)
+                    heap = reduce(self._append, y, x)
+                    if sum(map(int.bit_count, heap)) <= self.max_len:
+                        new.add(heap)
                 if len(new) > self.cap:
                     raise CapExceeded("oracle product set exceeded cap")
             acc = new
-        return frozenset(acc), sorted(acc)
+        return acc
 
     def product_membership(self, letters, factor_masks) -> bool:
         """Exhaustive membership in a product of parabolic subgroups.
 
-        Factors and intermediate products are truncated at the oracle radius;
-        the check is split meet-in-the-middle so medium factor counts stay
-        tractable.
+        Factors and intermediate products are truncated at the oracle radius,
+        which loses nothing once the radius is at least the length of the
+        element; the check is split meet-in-the-middle so medium factor
+        counts stay tractable.
         """
         if not factor_masks:
             raise ValueError("factor list must be nonempty")
@@ -626,15 +645,7 @@ class WordOracle:
             raise CapExceeded(
                 "oracle radius insufficient for the target word length")
         k = len(factor_masks)
-        left_keys, left_sorted = self._product_keys(factor_masks[:(k + 1) // 2])
-        right_keys, _ = self._product_keys(factor_masks[(k + 1) // 2:])
-        for x in left_sorted:
-            rest = self.canon(tuple(reversed(x)) + target)
-            if rest in right_keys:
-                return True
-        return False
-
-    def deepened(self) -> "WordOracle":
-        """A fresh oracle at doubled radius (no ball table), for re-checks."""
-        return WordOracle(self.graph, self.max_len * 2, cap=self.cap,
-                          build_table=False)
+        left = self._product_keys(factor_masks[:(k + 1) // 2])
+        right = self._product_keys(factor_masks[(k + 1) // 2:])
+        return any(reduce(self._append, self._key(x)[::-1] + bytes(target), ())
+                   in right for x in left)

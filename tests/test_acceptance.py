@@ -61,7 +61,8 @@ def _engine_oracle_agreement(g, max_len):
     check, for every oracle element e in the radius and every letter a, that
     the engine append applied to e's engine normal form lands on the engine
     normal form assigned to the oracle successor of e (induction over raw
-    words), and that the element -> normal form map is injective.
+    words), and that the element -> normal form map is injective.  The same
+    induction checks the oracle's heap walk against its own ``canon``.
     """
     oracle = WordOracle(g, max_len)
     nonadj = g.nonadj
@@ -72,6 +73,7 @@ def _engine_oracle_agreement(g, max_len):
             j = oracle.trans[i][a]
             if j < 0:
                 continue
+            assert oracle.canon(oracle.words[i] + bytes([a])) == oracle.words[j]
             word = list(eng[i])
             _reduced_append(g.adj, word, a)
             nf = _shortlex(nonadj, word)
@@ -99,7 +101,7 @@ def test_criterion_2_oracle_equivalence(announce):
         sizes[name] = _engine_oracle_agreement(g, 8)
     # direct brute confirmation on every raw word of length <= 4 over C5
     c5 = cycle_graph(5)
-    oracle = WordOracle(c5, 4, build_table=False)
+    oracle = WordOracle(c5, 4)
     by_oracle = {}
     for length in range(5):
         for raw in itertools.product(range(5), repeat=length):
@@ -119,8 +121,8 @@ def test_criterion_3_parabolic_intersections(announce):
     checked = 0
     for n in range(1, 6):
         for g in enumerate_graphs(n).graphs:
-            oracle = WordOracle(g, 8, build_table=False)
-            keys = {s: oracle.subgroup_keys(s, 8) for s in range(1 << n)}
+            oracle = WordOracle(g, 8)
+            keys = {s: oracle.subgroup_keys(s) for s in range(1 << n)}
             balls = {s: set(parabolic_ball(g, s, 8)) for s in range(1 << n)}
             for s in range(1 << n):
                 for t in range(s, 1 << n):
@@ -142,7 +144,7 @@ def _cycle_inclusion_instance(n):
     g = cycle_graph(n)
     factors = [link(g, i) for i in range(1, n)]
     small_set = {(), (1,), (n - 1,), tuple(sorted((1, n - 1)))}
-    oracle = WordOracle(g, 8, build_table=False)
+    oracle = WordOracle(g, 8)
     members = 0
     for letters in parabolic_ball(g, link(g, 0), 8):
         w = reduce_word(g, letters)
@@ -206,14 +208,14 @@ def test_criterion_6_geodesic_factorization_guardrail(announce):
     for n in (5, 6, 7):
         g = cycle_graph(n)
         factors = [link(g, i) for i in range(1, n)]
-        oracle = WordOracle(g, 8, build_table=False)
+        oracle = WordOracle(g, 8)
         for letters in parabolic_ball(g, link(g, 0), 8):
             product_set_membership(reduce_word(g, letters), factors,
                                    oracle=oracle)
             instances += 1
     # the worked example: short elements of one link against the link product
     c5 = cycle_graph(5)
-    oracle = WordOracle(c5, 6, build_table=False)
+    oracle = WordOracle(c5, 6)
     factors = [link(c5, i) for i in range(1, 5)]
     for letters in parabolic_ball(c5, link(c5, 0), 6):
         w = reduce_word(c5, letters)

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from graphprod.errors import CapExceeded
 from graphprod.graphs import (cycle_graph, edgeless_graph, link, mask_of,
-                              to_graph6)
+                              path_graph, to_graph6)
 from graphprod.iso import isomorphism
 from graphprod.verify import (KNOWN_GRAPH_COUNTS, LEMMAS, WordOracle,
                               canonical_key, check_lemma, enumerate_graphs,
@@ -121,7 +123,7 @@ class TestSampler:
 
 class TestWordOracle:
     def test_identity(self, c5):
-        o = WordOracle(c5, 4, build_table=False)
+        o = WordOracle(c5, 4)
         assert o.equal([], [0, 0])
         assert o.equal([0, 1], [1, 0])
         assert not o.equal([0, 2], [2, 0])
@@ -137,29 +139,45 @@ class TestWordOracle:
         assert len(o.words) == len(e.words)
 
     def test_subgroup_keys(self, c5):
-        o = WordOracle(c5, 6, build_table=False)
-        keys = o.subgroup_keys(mask_of([1, 3]), 6)
+        o = WordOracle(c5, 6)
+        keys = o.subgroup_keys(mask_of([1, 3]))
         assert o.canon([1, 3]) in keys
         assert o.canon([3, 1]) in keys
         assert o.canon([0]) not in keys
         assert len(keys) == 13  # infinite dihedral ball of radius 6
 
     def test_product_membership(self, c5, free2):
-        o5 = WordOracle(c5, 6, build_table=False)
-        o2 = WordOracle(free2, 6, build_table=False)
+        o5 = WordOracle(c5, 6)
+        o2 = WordOracle(free2, 6)
         assert o5.product_membership([0], [link(c5, 1)])
         assert not o2.product_membership([0, 1], [1, 1])
         assert o2.product_membership([0, 1], [1, 2])
 
+    def test_product_radius_past_length(self, c5, k23):
+        """Exact at radius |w|: two more letters of radius change no answer
+        (the deletion condition bounds every factor by |w|)."""
+        rng = random.Random(23)
+        answers = []
+        for g in (c5, k23, path_graph(4)):
+            oracles = [WordOracle(g, r) for r in range(6)]
+            for w in enumerate_words(g, 3).words * 3:
+                factors = [rng.randrange(1, g.full_mask + 1)
+                           for _ in range(rng.randrange(2, 4))]
+                answer = oracles[len(w)].product_membership(w, factors)
+                assert oracles[len(w) + 2].product_membership(w, factors) \
+                    == answer, (g.adj, w, factors)
+                answers.append(answer)
+        assert 0 < sum(answers) < len(answers)
+
     def test_product_radius_guard(self, free2):
-        o = WordOracle(free2, 2, build_table=False)
+        o = WordOracle(free2, 2)
         with pytest.raises(CapExceeded):
             o.product_membership([0, 1, 0, 1], [3])
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            WordOracle(edgeless_graph(4), 10, cap=50)
+            WordOracle(edgeless_graph(4), 10, cap=50).words
 
     def test_canon_foata_blocks_sorted(self, c5):
         # a commuting pair appears as one sorted block
-        assert tuple(WordOracle(c5, 2, build_table=False).canon([1, 0])) == (0, 1)
+        assert tuple(WordOracle(c5, 2).canon([1, 0])) == (0, 1)

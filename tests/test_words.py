@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphprod.errors import CapExceeded
+from graphprod.errors import CapExceeded, OracleDisagreement
 from graphprod.graphs import (SimpleGraph, complete_bipartite, complete_graph,
                               cycle_graph, edgeless_graph, link, mask_of,
                               path_graph, petersen_graph)
@@ -299,9 +299,17 @@ class TestProductSets:
         with pytest.raises(ValueError):
             product_set_membership(reduce_word(c5, []), [])
 
+    def test_oracle_mismatch_raises(self, c5):
+        class Contrary:  # an oracle that always answers "not a member"
+            def product_membership(self, letters, factors):
+                return False
+        with pytest.raises(OracleDisagreement):
+            product_set_membership(reduce_word(c5, [0]), [link(c5, 1)],
+                                   oracle=Contrary())
+
     def test_oracle_cross_check(self, c5):
         from graphprod.verify import WordOracle
-        oracle = WordOracle(c5, 6, build_table=False)
+        oracle = WordOracle(c5, 6)
         factors = [link(c5, v) for v in range(1, 5)]
         for w in parabolic_ball(c5, link(c5, 0), 6):
             word = reduce_word(c5, w)
@@ -343,9 +351,10 @@ class TestSplit:
 
 
 class TestGeodesicAssumptionFuzz:
-    """Randomized audit of the length-additive factorization assumption the
-    product-set DP relies on: on small random graphs the DP must agree with
-    the exhaustive oracle for every short element and random factor lists."""
+    """Randomized audit of the product-set DP, which searches length-additive
+    factorizations only (enough, by the deletion condition): on small random
+    graphs the DP must agree with the exhaustive oracle for every short
+    element and random factor lists."""
 
     def test_dp_matches_oracle_on_random_graphs(self):
         from graphprod.verify import WordOracle
@@ -357,7 +366,7 @@ class TestGeodesicAssumptionFuzz:
             full = g.full_mask
             factors = [rng.randrange(1, full + 1)
                        for _ in range(rng.randrange(2, 4))]
-            oracle = WordOracle(g, 4, build_table=False)
+            oracle = WordOracle(g, 4)
             for letters in enumerate_words(g, 4).words:
                 w = reduce_word(g, letters)
                 assert product_set_membership(w, factors) \
@@ -375,7 +384,7 @@ class TestWordInclusionBeyondCycles:
         from graphprod.verify import WordOracle
         g = petersen_graph()
         factors = [link(g, i) for i in range(1, 5)]
-        oracle = WordOracle(g, 4, build_table=False)
+        oracle = WordOracle(g, 4)
         allowed = {(), (1,), (4,), (1, 4)}
         members = set()
         for letters in parabolic_ball(g, link(g, 0), 4):
