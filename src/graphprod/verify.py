@@ -1,8 +1,14 @@
 """Brute-force oracles: graph catalogs, lemma sweeps, sampling, word oracle.
 
-Everything here is deliberately independent of the fast paths it validates.
-The word oracle reduces words by repeatedly deleting letter pairs that can be
-brought together through commuting letters, then takes the Cartier-Foata
+The oracles do not call the fast paths they validate.  Canonical keys,
+catalogs and automorphism lists come from one search here, and this module
+imports nothing from :mod:`graphprod.iso`, so the leaf group of that search
+checks ``iso.automorphism_group``.  The lemma sweeps evaluate the
+:mod:`graphprod.structure` fast paths on every catalog graph, because those
+functions are what the lemmas are about.
+
+The word oracle reduces words by repeatedly deleting letter pairs that can
+be brought together through commuting letters, then takes the Cartier-Foata
 block normal form of the result as the element key; the engine in
 :mod:`graphprod.words` uses a ShortLex scheme instead, so agreement between
 the two is meaningful.  Balls of elements are checked twice: against the
@@ -22,7 +28,6 @@ from .graphs import (SimpleGraph, bits, components, components_induced,
                      contains_square, girth, induced, is_clique, is_edgeless,
                      mask_of, min_degree, star)
 from . import structure
-from .iso import automorphism_group
 from .words import _reduced_append, _shortlex
 
 # unlabeled simple graph counts (OEIS A000088), index = vertex count
@@ -32,9 +37,12 @@ KNOWN_GRAPH_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
 # -- canonical forms and the catalog ----------------------------------------
 
 def _stable_colors(g: SimpleGraph) -> list[int]:
-    colors = [0] * g.n
+    nbrs = [list(bits(row)) for row in g.adj]
+    # the first refinement of the uniform colouring ranks vertices by degree
+    degrees = sorted({len(nb) for nb in nbrs})
+    colors = [degrees.index(len(nb)) for nb in nbrs]
     while True:
-        sigs = [(colors[v], tuple(sorted(colors[w] for w in bits(g.adj[v]))))
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in nbrs[v])))
                 for v in range(g.n)]
         table = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [table[s] for s in sigs]
@@ -43,49 +51,71 @@ def _stable_colors(g: SimpleGraph) -> list[int]:
         colors = new
 
 
-def canonical_key(g: SimpleGraph) -> tuple:
-    """Minimum adjacency encoding over all colour-consistent permutations.
+def _canonical_search(g: SimpleGraph) -> tuple[tuple, list[bytes]]:
+    """The canonical key of ``g`` and every automorphism of ``g``.
 
     The row encoding (adjacency of position p to positions < p) is minimized
     lexicographically over permutations that respect the stable refinement
     colouring.  Colour classes are isomorphism-invariant, so this is a true
     canonical form while searching far fewer than n! permutations.
+
+    Only strictly larger prefixes are pruned, so the search reaches every
+    leaf of minimum encoding.  Those leaves are one coset of Aut(g): with L0
+    the first, the maps L o L0^-1 are exactly the automorphisms (McKay and
+    Piperno 2014).  Each is returned as ``bytes``, ``perm[v]`` the image of
+    ``v``; the identity comes first.
     """
     n = g.n
     if n == 0:
-        return (0,)
+        return (0,), [b""]
     colors = _stable_colors(g)
     cells: dict[int, list[int]] = {}
     for v in range(n):
         cells.setdefault(colors[v], []).append(v)
     slot_color = sorted(colors)
     best: list[int] | None = None
+    leaves: list[bytes] = []  # the leaves of encoding ``best``
     placed = [0] * n  # placed[p] = vertex at position p
     rows = [0] * n
+    adj = g.adj
 
     def rec(p: int, used: int):
         nonlocal best
         if p == n:
             if best is None or rows < best:
                 best = rows.copy()
+                leaves.clear()
+            leaves.append(bytes(placed))
             return
         for v in cells[slot_color[p]]:
             if used >> v & 1:
                 continue
             row = 0
+            a = adj[v]
             for q in range(p):
-                row = row << 1 | (g.adj[v] >> placed[q] & 1)
-            if best is not None:
-                prefix = rows[:p] + [row]
-                if prefix > best[:p + 1]:
-                    continue
+                row = row << 1 | (a >> placed[q] & 1)
+            # rows[:p] <= best[:p] here, so only a tied prefix can lose
+            if best is not None and row > best[p] and rows[:p] == best[:p]:
+                continue
             placed[p] = v
             rows[p] = row
             rec(p + 1, used | 1 << v)
 
     rec(0, 0)
     assert best is not None
-    return (n, *best)
+    first = leaves[0]
+    autos = []
+    for leaf in leaves:
+        perm = bytearray(n)
+        for p in range(n):
+            perm[first[p]] = leaf[p]
+        autos.append(bytes(perm))
+    return (n, *best), autos
+
+
+def canonical_key(g: SimpleGraph) -> tuple:
+    """Minimum adjacency encoding over all colour-consistent permutations."""
+    return _canonical_search(g)[0]
 
 
 @dataclass(frozen=True)
@@ -102,7 +132,12 @@ def enumerate_graphs(n: int) -> GraphCatalog:
 
     Every graph on n vertices is some (n-1)-vertex graph plus one vertex with
     an arbitrary neighbour set, so extending the previous catalog and
-    deduplicating by canonical key is exhaustive.
+    deduplicating by canonical key is exhaustive.  Neighbour masks in one
+    orbit of Aut(parent) give isomorphic graphs, so each parent is extended
+    only by the masks that are least in their orbit.  Masks are tried in
+    increasing order, so the first (parent, mask) to yield a key is its
+    orbit's least: the representatives and their order are the same as
+    without the pruning.
     """
     if not 1 <= n <= 8:
         raise ValueError("catalog enumeration is limited to 1 <= n <= 8")
@@ -111,7 +146,13 @@ def enumerate_graphs(n: int) -> GraphCatalog:
     prev = enumerate_graphs(n - 1)
     found: dict[tuple, SimpleGraph] = {}
     for g in prev.graphs:
+        autos = _canonical_search(g)[1]
+        seen = bytearray(1 << (n - 1))  # masks in the orbit of a lesser one
         for extra in range(1 << (n - 1)):
+            if seen[extra]:
+                continue
+            for perm in autos:
+                seen[mask_of(perm[v] for v in bits(extra))] = 1
             rows = [row | ((extra >> v & 1) << (n - 1))
                     for v, row in enumerate(g.adj)]
             rows.append(extra)
@@ -233,9 +274,8 @@ def _con_automorphism_class_iso(g: SimpleGraph) -> bool:
     isomorphisms of the class quotient graph."""
     q = structure.domination_classes(g)
     class_index = {m: i for i, m in enumerate(q.classes)}
-    aut = automorphism_group(g)
     qg = q.graph
-    for perm in _all_elements(aut, g.n):
+    for perm in _canonical_search(g)[1]:
         inv = [0] * g.n
         for v in range(g.n):
             inv[perm[v]] = v
@@ -257,21 +297,6 @@ def _con_automorphism_class_iso(g: SimpleGraph) -> bool:
             if mask_of(fwd[j] for j in bits(qg.adj[i])) != qg.adj[fwd[i]]:
                 return False
     return True
-
-
-def _all_elements(aut, n: int) -> list[tuple[int, ...]]:
-    elems = {tuple(range(n))}
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gen in aut.generators:
-                y = tuple(gen[x[v]] for v in range(n))
-                if y not in elems:
-                    elems.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(elems)
 
 
 def _always(g: SimpleGraph) -> bool:

@@ -28,6 +28,23 @@ def brute_aut_count(g):
     return count
 
 
+def generated_orbit(gens, v):
+    """Mask of the orbit of ``v`` under the group the generators generate."""
+    orb, frontier = 1 << v, [v]
+    while frontier:
+        w = frontier.pop()
+        for gen in gens:
+            if not orb >> gen[w] & 1:
+                orb |= 1 << gen[w]
+                frontier.append(gen[w])
+    return orb
+
+
+def first_moved(p):
+    """The least point the permutation moves, or its length if none."""
+    return next((v for v, x in enumerate(p) if x != v), len(p))
+
+
 PRISM = SimpleGraph.from_edges(
     6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
 
@@ -160,12 +177,36 @@ class TestAutomorphismGroup:
             assert aut.order == case["order"], case
             assert list(aut.orbits) == case["orbits"], case
 
-    def test_order_is_group_size(self):
-        from graphprod.verify import _all_elements, enumerate_graphs
-        for n in range(1, 8):
+    def test_against_leaf_oracle(self):
+        """Order, orbits and basic orbits against the leaf group of the
+        canonical search in ``verify`` on every graph with n <= 8.  Equal
+        basic orbits at every level prove by Sims's criterion that the
+        generators strongly generate the whole group."""
+        from graphprod.verify import _canonical_search, enumerate_graphs
+        for n in range(1, 9):
             for g in enumerate_graphs(n).graphs:
+                autos = _canonical_search(g)[1]
                 aut = automorphism_group(g)
-                assert aut.order == len(_all_elements(aut, n))
+                assert aut.order == len(autos), g.adj
+                leaf_set = set(autos)
+                assert all(bytes(gen) in leaf_set for gen in aut.generators)
+                orbits, seen = [], 0
+                for v in range(n):
+                    if not seen >> v & 1:
+                        orbits.append(mask_of(p[v] for p in autos))
+                        seen |= orbits[-1]
+                assert list(aut.orbits) == orbits, g.adj
+                # basic[j]: images of j under the leaves that fix 0..j-1
+                basic = [1 << j for j in range(n)]
+                for p in autos:
+                    k = first_moved(p)
+                    if k < n:
+                        basic[k] |= 1 << p[k]
+                fixed = [first_moved(gen) for gen in aut.generators]
+                for j in range(n):
+                    gens = [gen for gen, k in zip(aut.generators, fixed)
+                            if k >= j]
+                    assert generated_orbit(gens, j) == basic[j], (g.adj, j)
 
     @pytest.mark.parametrize("g,order", [
         (edgeless_graph(16), math.factorial(16)),

@@ -1,14 +1,19 @@
+import ast
+import hashlib
+import math
 import random
+from pathlib import Path
 
 import pytest
 
 from graphprod.errors import CapExceeded
-from graphprod.graphs import (cycle_graph, edgeless_graph, link, mask_of,
-                              path_graph, to_graph6)
+from graphprod.graphs import (complete_bipartite, complete_graph, cycle_graph,
+                              edgeless_graph, link, mask_of, path_graph,
+                              to_graph6)
 from graphprod.iso import isomorphism
 from graphprod.verify import (KNOWN_GRAPH_COUNTS, LEMMAS, WordOracle,
-                              canonical_key, check_lemma, enumerate_graphs,
-                              random_graph, sample_er)
+                              _canonical_search, canonical_key, check_lemma,
+                              enumerate_graphs, random_graph, sample_er)
 from graphprod.words import enumerate_words
 
 
@@ -50,6 +55,51 @@ class TestCatalog:
 
     def test_n8_count(self):
         assert len(enumerate_graphs(8).graphs) == KNOWN_GRAPH_COUNTS[8]
+
+    def test_catalog_digest(self):
+        """sha256 of ``to_graph6(g) + "\\n"`` over the catalogs n = 1..8 in
+        catalog order, as built before orbit pruning: same graphs, same
+        vertex order, same catalog order."""
+        h = hashlib.sha256()
+        for n in range(1, 9):
+            for g in enumerate_graphs(n).graphs:
+                h.update((to_graph6(g) + "\n").encode())
+        assert h.hexdigest() == ("928f09103ba22850f75c4ccccd5ef95e"
+                                 "b142af82e35e9cd616172117b1113c53")
+
+
+class TestLeafGroup:
+    """The leaves of minimum encoding in the canonical search, read as
+    automorphisms, against closed-form group orders."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_closed_form_orders(self, n):
+        cases = [(edgeless_graph(n), math.factorial(n)),
+                 (complete_graph(n), math.factorial(n))]
+        if n >= 2:
+            cases.append((path_graph(n), 2))
+        if n >= 3:
+            cases.append((cycle_graph(n), 2 * n))
+        for m in range(1, n // 2 + 1):
+            cases.append((complete_bipartite(m, n - m),
+                          math.factorial(m) * math.factorial(n - m)
+                          * (2 if 2 * m == n else 1)))
+        for g, order in cases:
+            autos = _canonical_search(g)[1]
+            assert len(autos) == len(set(autos)) == order, g.adj
+            assert autos[0] == bytes(range(n))
+
+    def test_verify_imports_nothing_from_iso(self):
+        """The oracle layer must not lean on the layer it checks."""
+        path = Path(__file__).parents[1] / "src" / "graphprod" / "verify.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                names = {a.name for a in node.names}
+                assert module not in (".iso", "graphprod.iso"), module
+                assert not (module in (".", "graphprod") and "iso" in names)
+            elif isinstance(node, ast.Import):
+                assert all(a.name != "graphprod.iso" for a in node.names)
 
 
 class TestLemmas:
